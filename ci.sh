@@ -19,8 +19,8 @@ fi
 echo "    OK: ${#manifests[@]} manifests are path-only"
 
 echo "==> tier-1: hermetic release build"
-# --workspace so the tm-bench perf binaries are rebuilt too: the perf
-# stages below must never gate against a stale bench_pr4/bench_pr5.
+# --workspace so the tm-bench `bench` binary is rebuilt too: the perf-gate
+# stage below must never run a stale build.
 cargo build --release --workspace --offline --locked
 
 echo "==> tier-1: tests (root package: integration, fuzz, property suites)"
@@ -67,77 +67,27 @@ fi
 echo "==> workspace member tests (per-crate units, tm-support, tm-bench)"
 cargo test -q --workspace --exclude tracemonkey --offline --locked
 
-echo "==> bench smoke: one program per SunSpider group (release, 3 repeats)"
-# Gate, not a benchmark: asserts the tracing engine beats the pure
-# interpreter on the traceable bitops representative and records the
-# medians for trend inspection. Full-suite methodology: EXPERIMENTS.md.
-./target/release/bench_pr4 --smoke > target/BENCH_pr4_smoke.json
-echo "    OK: wrote target/BENCH_pr4_smoke.json"
+echo "==> perfbench tests (the repo benchmark builds against tm-bench by path)"
+# perfbench/ is its own cargo workspace, so the member tests above do not
+# reach it: an API break in tm-bench fails here rather than in a
+# benchmark run.
+cargo test --manifest-path perfbench/Cargo.toml --offline --locked
 
-echo "==> perf smoke: superinstruction fusion (release, 3 fast programs)"
-# Two deterministic gates on dispatched-instruction counts (wall-clock is
-# reported but never gated): the fused count of each smoke program must
-# not exceed the checked-in BENCH_pr5.json baseline by more than 5%, and
-# the aggregate raw->fused reduction must stay at or above 25% (the
-# superinstruction pass's headline claim).
-./target/release/bench_pr5 --smoke --baseline BENCH_pr5.json \
-    > target/BENCH_pr5_smoke.json
-echo "    OK: wrote target/BENCH_pr5_smoke.json"
-
-echo "==> coverage smoke: recursion + string/date builtins (release)"
-# Coverage gate for the recursion/builtin tracing work: every smoke
-# program (access-binary-trees, both date-format programs,
-# controlflow-recursive) must report nonzero fused dispatched
-# instructions — these are exactly the programs that used to dispatch
-# zero traced instructions. The checked-in BENCH_pr6.json additionally
-# pins that no program regresses from traced back to zero.
-./target/release/bench_pr6 --smoke --baseline BENCH_pr6.json \
-    > target/BENCH_pr6_smoke.json
-echo "    OK: wrote target/BENCH_pr6_smoke.json"
-
-echo "==> warm-start smoke: persistent trace cache across processes (release)"
-# Two fresh processes per program share one cache file (docs/PERSISTENCE.md).
-# The cold phase records, persists, and re-runs until the cache is
-# converged (no new recordings); the warm phase is a separate process that
-# must load every tree, record *nothing*, and beat the cold ramp on
-# non-native bytecodes. BENCH_pr7.json pins the converged warm-start
-# footprint per program; wall-clock is reported but never gated.
-rm -rf target/tmcache
-./target/release/bench_warmup --smoke --phase cold --cache-dir target/tmcache \
-    > target/BENCH_pr7_cold_smoke.json
-./target/release/bench_warmup --smoke --phase warm --cache-dir target/tmcache \
-    --baseline BENCH_pr7.json > target/BENCH_pr7_smoke.json
-echo "    OK: wrote target/BENCH_pr7_smoke.json"
-
-echo "==> multi-tenant smoke: N realms over one shared code cache (release)"
-# bench_mt gates: request results identical to single-threaded, nonzero
-# cross-realm code sharing, and a core-adaptive throughput floor (4x at
-# 8+ cores, C/2 at C cores, no-regression on one core). The checked-in
-# BENCH_pr8.json pins the structural counters (a workload that shared
-# code or compiled in the background must keep doing so); its timing
-# fields are never compared.
-./target/release/bench_mt --smoke --baseline BENCH_pr8.json \
-    > target/BENCH_pr8_smoke.json
-echo "    OK: wrote target/BENCH_pr8_smoke.json"
-
-echo "==> native-tier smoke: real x86-64 code vs the decoded executor (release)"
-# bench_native gates: per-program display and deterministic-counter
-# identity between the tiers, the per-program accounting invariant
-# native_exits + native_fallbacks == trace_enters, majority-native
-# uptake on the access and string groups (the full-coverage emitter's
-# object/string families), wall-clock wins for the native tier on the
-# bitops and access group aggregates, and against the checked-in
-# BENCH_pr10.json: no program that ran natively may regress to fallback,
-# fallback-free programs stay fallback-free, and dispatched-instruction
-# counts stay within 5%. Per-program wall-clock is reported, not gated.
-# On targets without the backend the binary prints a skipped marker and
-# exits 0; the guard keeps the OK/SKIP line honest.
+echo "==> perf gates: bench gate (release, against BENCH_gates.json)"
+# One binary runs each (program, configuration) pair the declarative gates
+# in crates/bench/src/gates.rs read, once, and checks every gate against
+# the checked-in BENCH_gates.json: tracing vs the interpreter, fusion
+# dispatch counts, trace coverage, warm start from a .tmc cache converged
+# in a separate process, multi-tenant results/sharing/throughput, and
+# native-tier identity/accounting/uptake/speed. Counters carry most gates;
+# the wall-clock gates compare group totals of medians (best-of-runs for
+# the tenant throughput). Off x86-64 Linux the native gates print SKIP
+# lines; the guard keeps this stage's OK/SKIP line honest.
+./target/release/bench gate > target/bench_gate.json
 if [ "$(uname -sm)" = "Linux x86_64" ]; then
-    ./target/release/bench_native --smoke --baseline BENCH_pr10.json \
-        > target/BENCH_pr10_smoke.json
-    echo "    OK: wrote target/BENCH_pr10_smoke.json"
+    echo "    OK: every gate passed; records in target/bench_gate.json"
 else
-    echo "    SKIP: native backend needs Linux x86_64"
+    echo "    OK: every portable gate passed; SKIP: native gates need Linux x86_64"
 fi
 
 echo "==> ThreadSanitizer: concurrency suite (nightly + rust-src only)"

@@ -1,6 +1,6 @@
 //! Wall-clock benchmarks (on the in-tree `tm-support` harness): every
 //! SunSpider program under every engine (the statistical counterpart of
-//! the fig10 binary). Run a focused subset with
+//! `bench report`'s Figure 10 table). Run a focused subset with
 //! `cargo bench -p tm-bench --bench engines -- <program-name>`;
 //! `TM_BENCH_SAMPLES`/`TM_BENCH_WARMUP` override the 10-sample default.
 

@@ -1,12 +1,15 @@
 //! # tm-bench
 //!
-//! Benchmark suite and paper-figure harnesses for the TraceMonkey
-//! reproduction: JTS ports of the 26 SunSpider programs (the paper's
-//! evaluation workload) and binaries regenerating Figures 10, 11, and 12
-//! plus the ablation studies. See EXPERIMENTS.md for results.
+//! The SunSpider-style suite and its measurement harness: JTS ports of
+//! the 26 programs the paper evaluates, one runner that turns a (program,
+//! configuration) pair into a `bench/v2` [`record::Record`], and the
+//! declarative perf gates the `bench` binary checks against
+//! `BENCH_gates.json`. `bench report` regenerates Figures 10–12; the
+//! `ablation` binary covers the design-choice studies. See
+//! EXPERIMENTS.md for results.
 
-pub mod harness;
+pub mod gates;
+pub mod record;
 pub mod suite;
 
-pub use harness::{run_all_engines, run_program, speedup};
 pub use suite::{by_name, BenchProgram, SIEVE, SUITE};

@@ -88,6 +88,36 @@ pub fn by_name(name: &str) -> Option<&'static BenchProgram> {
     SUITE.iter().find(|p| p.name == name)
 }
 
+/// Request programs for the multi-tenant configurations: each is one
+/// small, deterministic server request, so every realm and every
+/// repetition must agree. `straightline` has no loop to trace and so no
+/// code to share.
+pub const TENANT_REQUESTS: &[BenchProgram] = &[
+    request("arith-loop", "var s = 0; for (var i = 0; i < 2000; i++) s += i * 3 - (i >> 1); s"),
+    request(
+        "branchy",
+        "var s = 0; for (var i = 0; i < 1500; i++) { if (i % 3 == 0) s += i * 2; else s -= i; } s",
+    ),
+    request(
+        "objects",
+        "var p = { x: 0, y: 0 }; \
+         for (var i = 0; i < 1200; i++) { p.x += i; p.y = p.x - i; } p.x + p.y",
+    ),
+    request(
+        "strings",
+        "var s = ''; var n = 0; \
+         for (var i = 0; i < 600; i++) { s = 'ab' + s.substring(0, 6); n += s.length; } n",
+    ),
+    BenchProgram {
+        untraceable: true,
+        ..request("straightline", "var a = 1; var b = a + 41; var c = b * 2 - 42; c")
+    },
+];
+
+const fn request(name: &'static str, source: &'static str) -> BenchProgram {
+    BenchProgram { name, group: "tenant", source, untraceable: false }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

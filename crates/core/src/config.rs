@@ -53,7 +53,8 @@ pub struct JitOptions {
     pub verify: bool,
     /// Run the peephole superinstruction pass (`tm-nanojit::fuse`) on
     /// every compiled fragment. On by default; turning it off executes
-    /// the raw assembled code (the `bench_pr5` baseline configuration).
+    /// the raw assembled code (the `raw` configuration of `bench gate`'s
+    /// fusion-reduction gate).
     pub enable_fusion: bool,
     /// Hand finished recordings to the attached background compiler pool
     /// (`Vm::attach_pool`) instead of compiling on the execution thread;
@@ -62,13 +63,15 @@ pub struct JitOptions {
     /// keep the paper's synchronous compile-on-record semantics.
     pub background_compile: bool,
     /// Execute trace trees through the native x86-64 backend
-    /// (`tm-nanojit::x64`) when the tree's fragments are fully
-    /// translatable; trees with untranslatable ops (heap access, helper
-    /// calls, nested trees) fall back per-tree to the decoded executor,
-    /// which remains the portable reference. On by default where the
-    /// backend exists (x86-64 Linux) so the whole suite runs the native
-    /// tier differentially; forced off elsewhere — enabling it on an
-    /// unsupported target silently degrades to the decoded executor.
+    /// (`tm-nanojit::x64`). Every `MachInst` family is emitted: the only
+    /// op that keeps a tree on the decoded executor (the portable
+    /// reference) is a `CallHelper` with more than
+    /// `x64::MAX_HELPER_ARGS` (8) arguments; otherwise a tree runs
+    /// decoded only while its native code is pending (re-)emission. On
+    /// by default where the backend exists (x86-64 Linux) so the whole
+    /// suite runs the native tier differentially; forced off elsewhere —
+    /// enabling it on an unsupported target silently degrades to the
+    /// decoded executor.
     pub native_backend: bool,
 }
 

@@ -1611,7 +1611,25 @@ struct NestHost<'a> {
 }
 
 impl TreeHost for NestHost<'_> {
+    /// Books the call's own mediation as `Monitor` and hands the profiler
+    /// back to `Native` before the outer trace resumes: the inner tree's
+    /// `execute_tree_from` ends in `Monitor`, and without the restore the
+    /// outer tree's remaining native time would be booked there too.
     fn call_tree(
+        &mut self,
+        site_id: u32,
+        ar: &mut [u64],
+        realm: &mut Realm,
+    ) -> Result<bool, RuntimeError> {
+        self.monitor.profiler.switch(Activity::Monitor);
+        let resumed = self.mediate_call(site_id, ar, realm);
+        self.monitor.profiler.switch(Activity::Native);
+        resumed
+    }
+}
+
+impl NestHost<'_> {
+    fn mediate_call(
         &mut self,
         site_id: u32,
         ar: &mut [u64],
@@ -1718,6 +1736,40 @@ mod tests {
         let mut vm = Vm::with_options(Engine::Tracing, opts);
         vm.eval(src).expect("runs");
         vm
+    }
+
+    #[test]
+    fn nested_call_hands_the_profiler_back_to_native() {
+        // Figure 12 attribution: mediating a §4 nested call is monitor
+        // work, but the outer tree resumes natively afterwards. Once
+        // recording and compiling are over, every switch must change the
+        // activity — a Monitor→Monitor pair is the outer tree's post-call
+        // native time being booked as Monitor.
+        let opts = JitOptions { profile: true, ..JitOptions::default() };
+        let mut vm = Vm::with_options(Engine::Tracing, opts);
+        vm.eval(
+            "var s = 0; \
+             for (var i = 0; i < 200; i++) { for (var j = 0; j < 10; j++) s += j; s += i; } \
+             s",
+        )
+        .expect("runs");
+        let m = vm.monitor().unwrap();
+        assert!(m.cache.iter().any(|t| !t.nested_sites.is_empty()), "no nested call recorded");
+        let trail = &m.profiler.trail;
+        let jit_done = trail
+            .iter()
+            .rposition(|a| matches!(a, Activity::Record | Activity::Compile))
+            .expect("the loops were recorded and compiled");
+        let steady = &trail[jit_done + 1..];
+        let resumed = steady
+            .windows(3)
+            .filter(|w| w == &[Activity::Native, Activity::Monitor, Activity::Native])
+            .count();
+        assert!(resumed > 100, "outer trees resumed natively only {resumed} times");
+        assert!(
+            !steady.windows(2).any(|w| w == [Activity::Monitor, Activity::Monitor]),
+            "post-call native time was booked as Monitor"
+        );
     }
 
     #[test]

@@ -166,6 +166,10 @@ pub struct Profiler {
     current: Option<(Activity, Instant)>,
     /// When disabled, `enter`/`switch` are no-ops (no timer syscalls).
     pub enabled: bool,
+    /// Every activity switched to, in order: unit tests pin attribution
+    /// with it instead of with wall-clock shares.
+    #[cfg(test)]
+    pub(crate) trail: Vec<Activity>,
 }
 
 impl Default for Profiler {
@@ -177,7 +181,13 @@ impl Default for Profiler {
 impl Profiler {
     /// Creates a profiler.
     pub fn new(enabled: bool) -> Profiler {
-        Profiler { stats: ProfileStats::default(), current: None, enabled }
+        Profiler {
+            stats: ProfileStats::default(),
+            current: None,
+            enabled,
+            #[cfg(test)]
+            trail: Vec::new(),
+        }
     }
 
     /// Switches the active activity, accumulating the previous one.
@@ -185,6 +195,8 @@ impl Profiler {
         if !self.enabled {
             return;
         }
+        #[cfg(test)]
+        self.trail.push(a);
         let now = Instant::now();
         if let Some((prev, started)) = self.current.take() {
             self.stats.time[idx(prev)] += now - started;

@@ -15,7 +15,7 @@
 //! | module | replaces | used by |
 //! |---|---|---|
 //! | [`rng`] | `rand` (`StdRng::seed_from_u64`) | `tests/fuzz_differential.rs` |
-//! | [`json`] | `serde`/`serde_json` | `tm-bench` `results_json` |
+//! | [`json`] | `serde`/`serde_json` | `tm-bench` `bench` (records, `BENCH_gates.json`) |
 //! | [`prop`] | `proptest` | `tests/property.rs` |
 //! | [`mod@bench`] | `criterion` | `tm-bench` `benches/` |
 //! | [`binio`] | `bincode`/`byteorder` | the persistent trace cache |

@@ -95,8 +95,8 @@ fn json_numbers_round_trip_through_rust_parsing() {
 
 #[test]
 fn json_results_schema_shape() {
-    // The shape `results_json` emits: object → programs array → per-
-    // program objects. Guard the exact bytes of a miniature instance.
+    // The shape the `bench` documents take: object → records array →
+    // per-record objects. Guard the exact bytes of a miniature instance.
     let doc = Json::obj([
         ("repeats", Json::from(2u32)),
         (

@@ -215,9 +215,9 @@ fn branch_install_invalidates_and_reemits() {
     assert_eq!(stats.native_exits + stats.native_fallbacks, stats.trace_enters);
 }
 
-/// The full checksuite-style differential: a mixed program with doubles,
-/// comparisons, and nested loops agrees between tiers and between the
-/// tiers and the interpreter.
+/// The `bench report` engine-agreement check, in miniature: a mixed
+/// program with doubles, comparisons, and nested loops agrees between
+/// tiers and between the tiers and the interpreter.
 #[test]
 fn mixed_program_agrees_across_tiers_and_interpreter() {
     let src = "\
