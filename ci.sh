@@ -64,6 +64,21 @@ else
     echo "    SKIP: native backend needs Linux x86_64"
 fi
 
+echo "==> determinism: schedule-rig replay, 20 runs each"
+# One seed must give one interleaving trace. A replay defect (e.g. logging
+# in thread-arrival order) shows up only in some runs, so both checks run
+# 20 times here: a regression fails this stage every time, not as a flake.
+for run in $(seq 1 20); do
+    if ! { cargo test -q --offline --locked -p tm-support --lib sched:: \
+            && cargo test -q --offline --locked --test concurrency same_seed; } \
+            > target/determinism.log 2>&1; then
+        cat target/determinism.log
+        echo "error: schedule replay diverged on run $run of 20" >&2
+        exit 1
+    fi
+done
+echo "    OK: sched unit tests and same-seed replay passed 20/20"
+
 echo "==> workspace member tests (per-crate units, tm-support, tm-bench)"
 cargo test -q --workspace --exclude tracemonkey --offline --locked
 

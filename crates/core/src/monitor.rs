@@ -12,8 +12,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use tm_interp::{Flow, Interp, RunExit};
-use tm_lir::{run_backward_filters, ExitLiveness};
-use tm_nanojit::{assemble, emit_tree, execute, ExitTarget, Fragment, NativeTree, TreeHost};
+use tm_lir::{ArSlot, LirType};
+use tm_nanojit::{emit_tree, execute, ExitTarget, Fragment, NativeTree, TreeHost};
 use tm_runtime::{Realm, RuntimeError, Value};
 
 use crate::activation::{box_from_word, unbox_to_word, value_matches, SlotKey};
@@ -22,7 +22,7 @@ use crate::config::JitOptions;
 use crate::events::{AbortReason, EventLog, TraceEvent};
 use crate::exit::{ExitKind, SideExitInfo};
 use crate::oracle::Oracle;
-use crate::pool::{CompileJob, CompileOutcome, CompilerPool, EmitJob, EmitOutcome, EmitTicket, Ticket};
+use crate::pool::{compile_trace, CompilerPool, Ticket};
 use crate::profiler::{Activity, Profiler};
 use crate::recorder::{self, RecordAction, RecordedTrace, Recorder};
 use crate::shared_cache::{entry_digest, SharedCodeCache, SharedKey};
@@ -151,7 +151,7 @@ enum NativeState {
     /// replacing this state (dropping the ticket), so a stale buffer is
     /// discarded unreceived.
     Emitting {
-        ticket: EmitTicket,
+        ticket: Ticket<NativeTree>,
         nfrags: usize,
     },
 }
@@ -159,10 +159,11 @@ enum NativeState {
 /// One background compile the monitor is waiting on.
 #[derive(Debug)]
 struct PendingCompile {
-    ticket: Ticket,
+    ticket: Ticket<(RecordedTrace, Fragment)>,
     kind: PendingKind,
 }
 
+/// Where a compiled fragment goes.
 #[derive(Debug, Clone, Copy)]
 enum PendingKind {
     /// A root trace for `anchor`.
@@ -487,26 +488,7 @@ impl Monitor {
                         return Ok(None);
                     }
                 }
-                if let Some(pool) = self.async_pool() {
-                    // Hand the pipeline to a worker; the realm goes back
-                    // to interpreting and the tree is installed at a
-                    // later anchor hit (`poll_compiles`).
-                    let ticket = pool.submit(CompileJob {
-                        recorded,
-                        verify_base: Vec::new(),
-                        opts: self.opts,
-                    });
-                    self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize]
-                        .compiling = true;
-                    self.in_flight.push(PendingCompile {
-                        ticket,
-                        kind: PendingKind::Root { anchor },
-                    });
-                    self.profiler.stats.compile_jobs_submitted += 1;
-                    return Ok(None);
-                }
-                self.build_root_tree(anchor, recorded);
-                self.forgive_outer_loops(anchor, interp);
+                self.compile(PendingKind::Root { anchor }, recorded, Vec::new(), interp);
                 Ok(None)
             }
             Ok(RecResult::Abort(reason)) => {
@@ -629,10 +611,10 @@ impl Monitor {
             Err(e) => return Err(RecordError::Guest(e)),
         }
         self.events.push(TraceEvent::NestedCall { tree: tid.0 });
-        let (frag, exit, kind) = match self.execute_tree_once(tid, interp, realm) {
-            Ok(r) => r,
-            Err(e) => return Err(RecordError::Guest(e)),
-        };
+        let ran = self.execute_tree_once(tid, interp, realm);
+        // The inner tree's run ends in `Monitor`; the rest is recording.
+        self.profiler.switch(Activity::Record);
+        let (frag, exit, kind) = ran.map_err(RecordError::Guest)?;
         let acceptable = matches!(kind, ExitKind::Branch | ExitKind::LeaveLoop)
             && self.cache.tree(tid).exits[frag as usize][exit as usize].frames.len() == 1;
         if !acceptable {
@@ -647,51 +629,52 @@ impl Monitor {
 
     // ==== tree construction ====
 
-    /// `verify_base` is the fragment's pre-existing entry state (empty for
-    /// a root trace; the parent exit's type map plus the tree entry map
-    /// for a branch), used only for the post-filter verification pass.
-    fn compile_fragment(
+    /// Compiles a finished recording and installs the fragment, inline or
+    /// — with background compilation active — on the pool, installing at a
+    /// later anchor hit ([`Monitor::poll_compiles`]) while the realm goes
+    /// back to interpreting. `verify_base` is the fragment's pre-existing
+    /// entry state (see [`compile_trace`]).
+    fn compile(
         &mut self,
-        recorded: &mut RecordedTrace,
-        verify_base: &[(tm_lir::ArSlot, tm_lir::LirType)],
-    ) -> Fragment {
-        self.profiler.switch(Activity::Compile);
-        let liveness = ExitLiveness {
-            live_slots: recorded.exits.iter().map(SideExitInfo::live_slots).collect(),
+        kind: PendingKind,
+        mut recorded: RecordedTrace,
+        verify_base: Vec<(ArSlot, LirType)>,
+        interp: &Interp,
+    ) {
+        let Some(pool) = self.async_pool() else {
+            self.profiler.switch(Activity::Compile);
+            let frag = compile_trace(&mut recorded, &verify_base, &self.opts)
+                .unwrap_or_else(|msg| panic!("{msg}"));
+            self.profiler.switch(Activity::Monitor);
+            self.install(kind, recorded, frag, interp);
+            return;
         };
-        run_backward_filters(&mut recorded.lir, &liveness, &recorded.loop_live);
-        if self.opts.verify {
-            // The recorder's output was already verified; what is handed
-            // to the backend is re-checked so a backward-filter defect
-            // (bad id compaction, dropped store an exit needs) surfaces
-            // here instead of as compiled garbage.
-            if let Err(err) = recorded.verify(verify_base) {
-                panic!("backward filters produced a malformed trace: {err}");
+        let opts = self.opts;
+        let ticket = pool.submit(move || {
+            let frag = compile_trace(&mut recorded, &verify_base, &opts)?;
+            Ok((recorded, frag))
+        });
+        match kind {
+            PendingKind::Root { anchor } => {
+                self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize].compiling = true;
+            }
+            PendingKind::Branch { tid, frag, exit } => {
+                self.in_flight_exits.insert((tid, frag, exit));
             }
         }
-        let mut frag = assemble(&recorded.lir);
-        if self.opts.enable_fusion {
-            frag = tm_nanojit::fuse(frag);
-            self.profiler.stats.fused_superinsts +=
-                u64::from(frag.fuse_stats.superinsts);
-            self.profiler.stats.fuse_insts_removed +=
-                u64::from(frag.fuse_stats.raw_insts - frag.fuse_stats.fused_insts);
-        }
-        if self.opts.verify {
-            // Backend output check: register allocation and the peephole
-            // pass must hand the executor structurally sound code.
-            if let Err(err) = tm_verifier::verify_fragment(&frag) {
-                panic!("backend produced a malformed fragment: {err}");
-            }
-        }
-        self.profiler.stats.fragments += 1;
-        self.profiler.switch(Activity::Monitor);
-        frag
+        self.in_flight.push(PendingCompile { ticket, kind });
+        self.profiler.stats.compile_jobs_submitted += 1;
     }
 
-    /// Rolls a completed recording's typed fast-call sites into the
-    /// per-builtin trace counters.
-    fn count_fast_helpers(&mut self, recorded: &mut RecordedTrace) {
+    /// Installs a compiled fragment as a new tree or as a branch, booking
+    /// the recording's fast-call sites and the fragment's fusion counts.
+    fn install(
+        &mut self,
+        kind: PendingKind,
+        mut recorded: RecordedTrace,
+        frag: Fragment,
+        interp: &Interp,
+    ) {
         for h in recorded.fast_helpers.drain(..) {
             *self
                 .profiler
@@ -700,23 +683,25 @@ impl Monitor {
                 .entry(format!("{h:?}"))
                 .or_insert(0) += 1;
         }
+        if self.opts.enable_fusion {
+            self.profiler.stats.fused_superinsts += u64::from(frag.fuse_stats.superinsts);
+            self.profiler.stats.fuse_insts_removed +=
+                u64::from(frag.fuse_stats.raw_insts - frag.fuse_stats.fused_insts);
+        }
+        self.profiler.stats.fragments += 1;
+        match kind {
+            PendingKind::Root { anchor } => {
+                self.install_root_tree(anchor, recorded, frag);
+                self.forgive_outer_loops(anchor, interp);
+            }
+            PendingKind::Branch { tid, frag: parent_frag, exit } => {
+                self.install_branch(tid, parent_frag, exit, recorded, frag);
+            }
+        }
     }
 
-    fn build_root_tree(&mut self, anchor: Anchor, mut recorded: RecordedTrace) -> TreeId {
-        self.count_fast_helpers(&mut recorded);
-        let frag = self.compile_fragment(&mut recorded, &[]);
-        self.install_root_tree(anchor, recorded, frag)
-    }
-
-    /// Installs a compiled root fragment as a new tree: the tail of
-    /// `build_root_tree`, shared with the background-compile install path
-    /// (`poll_compiles`), which arrives here with a worker-built fragment.
-    fn install_root_tree(
-        &mut self,
-        anchor: Anchor,
-        mut recorded: RecordedTrace,
-        frag: Fragment,
-    ) -> TreeId {
+    /// Installs a compiled root fragment as a new tree.
+    fn install_root_tree(&mut self, anchor: Anchor, mut recorded: RecordedTrace, frag: Fragment) {
         for m in recorded.oracle_marks.drain(..) {
             self.oracle.mark_double(m);
         }
@@ -755,13 +740,11 @@ impl Monitor {
             lir_len: self.cache.tree(tid).fragments[0].len() as u32,
         });
         self.publish_shared(tid);
-        tid
     }
 
     /// Entry requirements for monitor-mediated entry at a branch fragment
     /// stitched to `(parent_frag, parent_exit)`: everything the parent
-    /// exit's type map describes plus the tree's entry slots. Doubles as
-    /// the entry base for trace verification.
+    /// exit's type map describes plus the tree's entry slots.
     fn branch_parent_reqs(
         &self,
         tid: TreeId,
@@ -780,25 +763,8 @@ impl Monitor {
         reqs
     }
 
-    fn attach_branch(
-        &mut self,
-        tid: TreeId,
-        parent_frag: u32,
-        parent_exit: u16,
-        mut recorded: RecordedTrace,
-    ) {
-        self.count_fast_helpers(&mut recorded);
-        let verify_base: Vec<(tm_lir::ArSlot, tm_lir::LirType)> = self
-            .branch_parent_reqs(tid, parent_frag, parent_exit)
-            .iter()
-            .map(|&(s, _, t)| (s, t))
-            .collect();
-        let frag = self.compile_fragment(&mut recorded, &verify_base);
-        self.install_branch(tid, parent_frag, parent_exit, recorded, frag);
-    }
-
-    /// Installs a compiled branch fragment: the tail of `attach_branch`,
-    /// shared with the background-compile install path.
+    /// Installs a compiled branch fragment stitched to
+    /// `(parent_frag, parent_exit)`.
     fn install_branch(
         &mut self,
         tid: TreeId,
@@ -1064,8 +1030,8 @@ impl Monitor {
         // established (its exit type map) plus the tree's entry slots —
         // the base state the verifier checks imports and exit maps
         // against.
-        let verify_base: Vec<(tm_lir::ArSlot, tm_lir::LirType)> = if self.opts.verify {
-            let mut base: Vec<(tm_lir::ArSlot, tm_lir::LirType)> =
+        let verify_base: Vec<(ArSlot, LirType)> = if self.opts.verify {
+            let mut base: Vec<(ArSlot, LirType)> =
                 parent_exit.typemap.iter().map(|&(s, _, t)| (s, t)).collect();
             for e in &entry {
                 if !base.iter().any(|&(s, _)| s == e.ar) {
@@ -1096,35 +1062,16 @@ impl Monitor {
                 let recorded = rec.into_recorded();
                 if self.opts.verify {
                     if let Err(err) = recorded.verify(&verify_base) {
-                        self.events.push(TraceEvent::RecordAbort {
-                            reason: AbortReason::VerifyFailed(err),
-                        });
-                        self.profiler.stats.traces_aborted += 1;
-                        self.record_exit_failure(tid, frag, exit);
+                        self.record_exit_failure(tid, frag, exit, AbortReason::VerifyFailed(err));
                         return Ok(());
                     }
                 }
-                if let Some(pool) = self.async_pool() {
-                    let ticket = pool.submit(CompileJob {
-                        recorded,
-                        verify_base,
-                        opts: self.opts,
-                    });
-                    self.in_flight_exits.insert((tid, frag, exit));
-                    self.in_flight.push(PendingCompile {
-                        ticket,
-                        kind: PendingKind::Branch { tid, frag, exit },
-                    });
-                    self.profiler.stats.compile_jobs_submitted += 1;
-                    return Ok(());
-                }
-                self.attach_branch(tid, frag, exit, recorded);
+                let kind = PendingKind::Branch { tid, frag, exit };
+                self.compile(kind, recorded, verify_base, interp);
                 Ok(())
             }
             Ok(RecResult::Abort(reason)) => {
-                self.events.push(TraceEvent::RecordAbort { reason });
-                self.profiler.stats.traces_aborted += 1;
-                self.record_exit_failure(tid, frag, exit);
+                self.record_exit_failure(tid, frag, exit, reason);
                 Ok(())
             }
             Err(RecordError::Guest(e)) => Err(e),
@@ -1146,10 +1093,12 @@ impl Monitor {
         })
     }
 
-    /// Counts a branch-recording failure at `(frag, exit)`. At the
+    /// Logs and counts a branch-recording failure at `(frag, exit)`. At the
     /// blacklist threshold the exit stops being extended; its hotness
     /// counter is cleared so dead exits don't keep live state around.
-    fn record_exit_failure(&mut self, tid: TreeId, frag: u32, exit: u16) {
+    fn record_exit_failure(&mut self, tid: TreeId, frag: u32, exit: u16, reason: AbortReason) {
+        self.events.push(TraceEvent::RecordAbort { reason });
+        self.profiler.stats.traces_aborted += 1;
         let max_failures = self.opts.blacklist.max_failures;
         let st = self.cache.tree_mut(tid).exit_state_mut(frag, exit);
         st.failures += 1;
@@ -1187,71 +1136,43 @@ impl Monitor {
     }
 
     /// Absorbs one finished background compile: install on success,
-    /// site-failure accounting on pipeline failure (mirroring the sync
-    /// path's abort handling).
+    /// site-failure accounting (`CompileFailed`) on a pipeline failure.
     fn finish_compile(
         &mut self,
         kind: PendingKind,
-        outcome: CompileOutcome,
+        outcome: Result<(RecordedTrace, Fragment), String>,
         interp: &mut Interp,
     ) {
-        match (kind, outcome) {
-            (PendingKind::Root { anchor }, CompileOutcome::Done { recorded, fragment }) => {
-                self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize]
-                    .compiling = false;
-                let mut recorded = *recorded;
-                self.count_fast_helpers(&mut recorded);
-                self.absorb_compiled_fragment_stats(&fragment);
-                self.install_root_tree(anchor, recorded, *fragment);
-                self.forgive_outer_loops(anchor, interp);
+        match kind {
+            PendingKind::Root { anchor } => {
+                self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize].compiling = false;
+            }
+            PendingKind::Branch { tid, frag, exit } => {
+                self.in_flight_exits.remove(&(tid, frag, exit));
+            }
+        }
+        match (outcome, kind) {
+            (Ok(_), PendingKind::Branch { tid, frag, exit })
+                if self.cache.tree(tid).exit_states[frag as usize][exit as usize]
+                    .branch
+                    .is_some() =>
+            {
+                // Raced with another install path (e.g. the whole tree
+                // arrived from the shared cache meanwhile); drop it.
+            }
+            (Ok((recorded, fragment)), _) => {
+                self.install(kind, recorded, fragment, interp);
                 self.profiler.stats.compile_jobs_installed += 1;
             }
-            (PendingKind::Root { anchor }, CompileOutcome::Failed(_)) => {
-                self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize]
-                    .compiling = false;
+            (Err(_), PendingKind::Root { anchor }) => {
                 self.profiler.stats.compile_jobs_failed += 1;
                 self.handle_record_failure(anchor, AbortReason::CompileFailed, interp);
             }
-            (
-                PendingKind::Branch { tid, frag, exit },
-                CompileOutcome::Done { recorded, fragment },
-            ) => {
-                self.in_flight_exits.remove(&(tid, frag, exit));
-                if self.cache.tree(tid).exit_states[frag as usize][exit as usize]
-                    .branch
-                    .is_some()
-                {
-                    // Raced with another install path (e.g. the whole tree
-                    // arrived from the shared cache meanwhile); drop it.
-                    return;
-                }
-                let mut recorded = *recorded;
-                self.count_fast_helpers(&mut recorded);
-                self.absorb_compiled_fragment_stats(&fragment);
-                self.install_branch(tid, frag, exit, recorded, *fragment);
-                self.profiler.stats.compile_jobs_installed += 1;
-            }
-            (PendingKind::Branch { tid, frag, exit }, CompileOutcome::Failed(_)) => {
-                self.in_flight_exits.remove(&(tid, frag, exit));
-                self.events.push(TraceEvent::RecordAbort {
-                    reason: AbortReason::CompileFailed,
-                });
-                self.profiler.stats.traces_aborted += 1;
+            (Err(_), PendingKind::Branch { tid, frag, exit }) => {
                 self.profiler.stats.compile_jobs_failed += 1;
-                self.record_exit_failure(tid, frag, exit);
+                self.record_exit_failure(tid, frag, exit, AbortReason::CompileFailed);
             }
         }
-    }
-
-    /// The profiler accounting `compile_fragment` does inline, replayed
-    /// for a fragment that was compiled on a worker thread.
-    fn absorb_compiled_fragment_stats(&mut self, frag: &Fragment) {
-        if self.opts.enable_fusion {
-            self.profiler.stats.fused_superinsts += u64::from(frag.fuse_stats.superinsts);
-            self.profiler.stats.fuse_insts_removed +=
-                u64::from(frag.fuse_stats.raw_insts - frag.fuse_stats.fused_insts);
-        }
-        self.profiler.stats.fragments += 1;
     }
 
     /// Enters tree `tid` at its trunk: builds the activation record from
@@ -1340,7 +1261,9 @@ impl Monitor {
                     // snapshot to the pool, keep running decoded, and
                     // install the buffer when the ticket resolves at a
                     // later entry. The request thread never emits.
-                    let ticket = pool.submit_emit(EmitJob { fragments: frags.clone() });
+                    let job_frags = Arc::clone(&frags);
+                    let ticket =
+                        pool.submit(move || emit_tree(&job_frags).map_err(|e| e.to_string()));
                     self.native
                         .insert(tid, NativeState::Emitting { ticket, nfrags: frags.len() });
                     false
@@ -1455,15 +1378,15 @@ impl Monitor {
         let nfrags = *nfrags;
         let Some(outcome) = ticket.try_ready() else { return };
         let state = match outcome {
-            EmitOutcome::Done(nt) if nt.num_fragments() == nfrags => {
+            Ok(nt) if nt.num_fragments() == nfrags => {
                 self.profiler.stats.native_fragments += nfrags as u64;
                 self.profiler.stats.native_emissions_offthread += 1;
-                NativeState::Ready(Arc::from(nt))
+                NativeState::Ready(Arc::new(nt))
             }
             // A buffer for a different fragment set (unreachable by the
             // invalidation invariant): retry after one more decoded run.
-            EmitOutcome::Done(_) => NativeState::Deferred(1),
-            EmitOutcome::Failed(_) => NativeState::Unsupported,
+            Ok(_) => NativeState::Deferred(1),
+            Err(_) => NativeState::Unsupported,
         };
         self.native.insert(tid, state);
     }
@@ -1769,6 +1692,32 @@ mod tests {
         assert!(
             !steady.windows(2).any(|w| w == [Activity::Monitor, Activity::Monitor]),
             "post-call native time was booked as Monitor"
+        );
+    }
+
+    #[test]
+    fn recording_hands_the_profiler_back_after_an_inner_tree() {
+        // An outer-loop recording that calls the compiled inner tree runs
+        // it natively, and the inner run ends in `Monitor`; the rest of
+        // the recording must be booked as `Record` again.
+        let opts = JitOptions { profile: true, ..JitOptions::default() };
+        let mut vm = Vm::with_options(Engine::Tracing, opts);
+        vm.eval(
+            "var s = 0; \
+             for (var i = 0; i < 200; i++) { for (var j = 0; j < 10; j++) s += j; s += i; } \
+             s",
+        )
+        .expect("runs");
+        let trail = &vm.monitor().unwrap().profiler.trail;
+        let after_inner: Vec<Activity> = trail
+            .windows(4)
+            .filter(|w| w[..3] == [Activity::Record, Activity::Native, Activity::Monitor])
+            .map(|w| w[3])
+            .collect();
+        assert!(!after_inner.is_empty(), "no recording called an inner tree");
+        assert!(
+            after_inner.iter().all(|&a| a == Activity::Record),
+            "recording after an inner tree call was booked as {after_inner:?}"
         );
     }
 

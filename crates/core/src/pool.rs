@@ -1,136 +1,104 @@
-//! The background compiler pool: trace compilation off the execution
-//! thread.
+//! The compile pipeline, and the background compiler pool that runs it
+//! (and native emission) off the execution thread.
 //!
 //! In the paper's TraceMonkey, compilation happens on the thread that
 //! recorded the trace — acceptable when compiles are rare and the realm
 //! is alone in the process. A multi-tenant VM wants the execution thread
 //! back as soon as recording finishes: the realm keeps *interpreting*
-//! while a worker runs the compile pipeline (backward filters →
-//! register allocation → peephole fusion → fragment verification), and
-//! the finished fragment is installed by the monitor at the next anchor
-//! hit (see `Monitor::poll_compiles`). Until installation the loop
-//! simply stays in the interpreter — semantically identical, just not
-//! yet fast.
+//! while a worker runs [`compile_trace`], and the finished fragment is
+//! installed by the monitor at the next anchor hit (see
+//! `Monitor::poll_compiles`). Until installation the loop simply stays in
+//! the interpreter — semantically identical, just not yet fast. The
+//! monitor's inline path runs the same [`compile_trace`].
 //!
-//! A job carries the [`RecordedTrace`] by value and returns it alongside
-//! the compiled [`Fragment`]; the monitor needs the (filtered) recording
-//! back to build the tree (entry maps, exits, oracle marks). Results are
+//! A pool job is any closure returning `Result<T, String>`; its result is
 //! handed off on a per-job channel ([`Ticket`]), so a pool can serve any
-//! number of realms without routing state.
+//! number of realms without routing state. A compile job moves the
+//! [`RecordedTrace`] in and returns it with the fragment, because the
+//! monitor needs the (filtered) recording back to build the tree.
 //!
-//! A compile-pipeline panic (a filter or backend defect) is caught in
-//! the worker and surfaces as [`CompileOutcome::Failed`]; the submitting
-//! monitor treats it like a recording abort (the §3.3 failure budget),
-//! so one realm's miscompile cannot take down the process — matching the
-//! sync path's behaviour of failing that site, not the VM.
+//! A panicking job (a filter, backend or emitter defect) is caught in
+//! the worker and resolves its ticket to `Err`. The monitor counts a
+//! failed compile like a recording abort (the §3.3 failure budget), so
+//! one realm's miscompile cannot take down the process.
 //!
 //! Determinism: the interleaving test rig drives the handoff through
 //! `tm_support::sched` yield points (`pool.submit`, `pool.take`,
 //! `pool.result`, `pool.wait`); see `docs/TESTING.md`.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use tm_lir::{run_backward_filters, ArSlot, ExitLiveness, LirType};
-use tm_nanojit::{assemble, emit_tree, Fragment, NativeTree};
+use tm_nanojit::{assemble, Fragment};
 use tm_support::sched;
 
 use crate::config::JitOptions;
 use crate::exit::SideExitInfo;
 use crate::recorder::RecordedTrace;
 
-/// A unit of compilation: one finished recording plus everything the
-/// pipeline needs to run it to a fragment without touching realm state.
-#[derive(Debug)]
-pub struct CompileJob {
-    /// The finished recording (moved in; returned with the result).
-    pub recorded: RecordedTrace,
-    /// Pre-existing entry state for the post-filter verification pass
-    /// (empty for root traces).
-    pub verify_base: Vec<(ArSlot, LirType)>,
-    /// The submitting monitor's options (verify, fusion, ...).
-    pub opts: JitOptions,
-}
-
-/// What came back from a worker.
-#[derive(Debug)]
-pub enum CompileOutcome {
-    /// The pipeline succeeded: the (now backward-filtered) recording and
-    /// its compiled fragment, plus the fusion statistics deltas the
-    /// submitting monitor's profiler should absorb.
-    Done {
-        /// The recording, post-backward-filters.
-        recorded: Box<RecordedTrace>,
-        /// The compiled (and, if enabled, fused and verified) fragment.
-        fragment: Box<Fragment>,
-    },
-    /// The pipeline panicked or a verification stage rejected the trace;
-    /// the monitor counts it as a recording failure at the site.
-    Failed(String),
-}
-
-/// A unit of native emission: translate a tree's fragments to an
-/// executable buffer off the request thread. The fragments travel as the
-/// tree's own `Arc` snapshot — a branch install replaces that `Arc` (and
-/// invalidates the tree's native state), so a stale result is simply
-/// dropped by the monitor.
-#[derive(Debug)]
-pub struct EmitJob {
-    /// Post-peephole fragments of the whole tree (trunk + branches).
-    pub fragments: Arc<Vec<Fragment>>,
-}
-
-/// What came back from a worker for an [`EmitJob`].
-#[derive(Debug)]
-pub enum EmitOutcome {
-    /// The tree emitted; the monitor installs it as `NativeState::Ready`.
-    Done(Box<NativeTree>),
-    /// The emitter rejected the tree ([`tm_nanojit::x64::unsupported_op`])
-    /// or the emission panicked; the monitor marks the tree
-    /// `Unsupported` so it never re-tries, matching the sync path.
-    Failed(String),
-}
-
-/// The submitter's handle to one in-flight emission.
-#[derive(Debug)]
-pub struct EmitTicket {
-    rx: Receiver<EmitOutcome>,
-}
-
-impl EmitTicket {
-    /// Non-blocking poll. `None` while the emission is still queued or
-    /// running. A dead worker reports as [`EmitOutcome::Failed`].
-    pub fn try_ready(&self) -> Option<EmitOutcome> {
-        match self.rx.try_recv() {
-            Ok(outcome) => Some(outcome),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => {
-                Some(EmitOutcome::Failed("compiler pool shut down".into()))
-            }
-        }
+/// The compile pipeline (§5.1–5.2): backward filters, the post-filter
+/// trace verification, assembly, peephole fusion, and the backend
+/// fragment verification. `verify_base` is the fragment's pre-existing
+/// entry state (empty for a root trace; the parent exit's type map plus
+/// the tree entry map for a branch), used only by the trace verification.
+///
+/// # Errors
+///
+/// A verification stage rejected the trace or the fragment (only with
+/// [`JitOptions::verify`] on).
+pub fn compile_trace(
+    recorded: &mut RecordedTrace,
+    verify_base: &[(ArSlot, LirType)],
+    opts: &JitOptions,
+) -> Result<Fragment, String> {
+    let liveness = ExitLiveness {
+        live_slots: recorded.exits.iter().map(SideExitInfo::live_slots).collect(),
+    };
+    run_backward_filters(&mut recorded.lir, &liveness, &recorded.loop_live);
+    if opts.verify {
+        // The recorder's output was already verified; what is handed to
+        // the backend is re-checked so a backward-filter defect (bad id
+        // compaction, dropped store an exit needs) surfaces here instead
+        // of as compiled garbage.
+        recorded
+            .verify(verify_base)
+            .map_err(|err| format!("backward filters produced a malformed trace: {err}"))?;
     }
+    let mut frag = assemble(&recorded.lir);
+    if opts.enable_fusion {
+        frag = tm_nanojit::fuse(frag);
+    }
+    if opts.verify {
+        // Register allocation and the peephole pass must hand the
+        // executor structurally sound code.
+        tm_verifier::verify_fragment(&frag)
+            .map_err(|err| format!("backend produced a malformed fragment: {err}"))?;
+    }
+    Ok(frag)
 }
 
 /// The submitter's handle to one in-flight job.
 #[derive(Debug)]
-pub struct Ticket {
-    rx: Receiver<CompileOutcome>,
+pub struct Ticket<T> {
+    rx: Receiver<Result<T, String>>,
 }
 
-impl Ticket {
+/// What a ticket resolves to when the pool shut down before the job ran.
+const SHUT_DOWN: &str = "compiler pool shut down";
+
+impl<T> Ticket<T> {
     /// Non-blocking poll. `None` while the job is still queued or
-    /// compiling. A dead worker (channel disconnect) reports as
-    /// [`CompileOutcome::Failed`].
-    pub fn try_ready(&self) -> Option<CompileOutcome> {
+    /// running. A dead worker (channel disconnect) reports as `Err`.
+    pub fn try_ready(&self) -> Option<Result<T, String>> {
         match self.rx.try_recv() {
-            Ok(outcome) => Some(outcome),
+            Ok(result) => Some(result),
             Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => {
-                Some(CompileOutcome::Failed("compiler pool shut down".into()))
-            }
+            Err(TryRecvError::Disconnected) => Some(Err(SHUT_DOWN.into())),
         }
     }
 
@@ -138,46 +106,43 @@ impl Ticket {
     /// in flight (the monitor drains so its final state is
     /// deterministic). Under the schedule rig this spins through a yield
     /// point instead of blocking, keeping the interleaving seeded.
-    pub fn wait(&self) -> CompileOutcome {
+    pub fn wait(&self) -> Result<T, String> {
         if sched::armed() {
             loop {
-                if let Some(outcome) = self.try_ready() {
-                    return outcome;
+                if let Some(result) = self.try_ready() {
+                    return result;
                 }
                 sched::yield_point("pool.wait");
             }
         }
-        match self.rx.recv() {
-            Ok(outcome) => outcome,
-            Err(_) => CompileOutcome::Failed("compiler pool shut down".into()),
-        }
+        self.rx.recv().unwrap_or_else(|_| Err(SHUT_DOWN.into()))
     }
 }
 
-/// One queued unit of work: a trace compile or a native emission. Both
-/// kinds share the queue (and the `executed`/`peak_depth` counters) so
-/// worker scheduling stays a single FIFO. `CompileJob` is boxed: it
-/// embeds the recording inline (~400 bytes) while an `EmitJob` is a
-/// couple of pointers, and queue slots churn.
-#[derive(Debug)]
-enum WorkItem {
-    Compile(Box<CompileJob>, Sender<CompileOutcome>),
-    Emit(EmitJob, Sender<EmitOutcome>),
-}
+/// One queued job. It runs its body, calls [`PoolShared::finished`], then
+/// sends the result to its ticket, so the counter and the `pool.result`
+/// yield point come between producing a result and handing it off.
+type Job = Box<dyn FnOnce(&PoolShared) + Send>;
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Queue {
-    jobs: VecDeque<WorkItem>,
+    jobs: VecDeque<Job>,
     shutdown: bool,
     /// High-water mark of queued-but-not-taken jobs (diagnostics).
     peak_depth: usize,
     executed: u64,
 }
 
-#[derive(Debug)]
 struct PoolShared {
     queue: Mutex<Queue>,
     cv: Condvar,
+}
+
+impl PoolShared {
+    fn finished(&self) {
+        self.queue.lock().unwrap().executed += 1;
+        sched::yield_point("pool.result");
+    }
 }
 
 /// Pool-wide counters (see `docs/DIAGNOSTICS.md`).
@@ -193,13 +158,21 @@ pub struct PoolStats {
 
 /// A pool of background compiler threads shared by any number of realms.
 ///
-/// Dropping the pool shuts the workers down; in-flight tickets then
-/// resolve to [`CompileOutcome::Failed`], which submitting monitors
-/// absorb as site failures.
-#[derive(Debug)]
+/// Dropping the pool shuts the workers down: running jobs finish, and jobs
+/// still queued are dropped unrun, so their tickets resolve to
+/// `Err("compiler pool shut down")`. Monitors hold the pool by `Arc`, so
+/// this only reaches tickets nobody polls any more.
 pub struct CompilerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
+}
+
+impl std::fmt::Debug for CompilerPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompilerPool")
+            .field("workers", &self.workers.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl CompilerPool {
@@ -221,31 +194,32 @@ impl CompilerPool {
         CompilerPool { shared, workers }
     }
 
-    /// Enqueues `job`, returning the ticket its result will arrive on.
-    pub fn submit(&self, job: CompileJob) -> Ticket {
+    /// Enqueues `job`, returning the ticket its result will arrive on. A
+    /// panic in `job` resolves the ticket to `Err` with the panic message.
+    pub fn submit<T, F>(&self, job: F) -> Ticket<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> Result<T, String> + Send + 'static,
+    {
         sched::yield_point("pool.submit");
         let (tx, rx) = channel();
-        self.enqueue(WorkItem::Compile(Box::new(job), tx));
-        Ticket { rx }
-    }
-
-    /// Enqueues a native-emission job (`background_compile` monitors use
-    /// this so `emit_tree` never runs on the request thread).
-    pub fn submit_emit(&self, job: EmitJob) -> EmitTicket {
-        sched::yield_point("pool.submit");
-        let (tx, rx) = channel();
-        self.enqueue(WorkItem::Emit(job, tx));
-        EmitTicket { rx }
-    }
-
-    fn enqueue(&self, item: WorkItem) {
+        let job: Job = Box::new(move |shared| {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|panic| {
+                Err(format!("pool job panicked: {}", panic_message(&*panic)))
+            });
+            shared.finished();
+            // The submitter may have vanished (program ended and the
+            // monitor dropped the ticket); a send failure is fine.
+            let _ = tx.send(result);
+        });
         {
             let mut q = self.shared.queue.lock().unwrap();
-            q.jobs.push_back(item);
+            q.jobs.push_back(job);
             q.peak_depth = q.peak_depth.max(q.jobs.len());
         }
         self.shared.cv.notify_one();
         sched::wake_all();
+        Ticket { rx }
     }
 
     /// A snapshot of the pool counters.
@@ -271,127 +245,45 @@ impl Drop for CompilerPool {
     }
 }
 
+fn panic_message(panic: &(dyn Any + Send)) -> &str {
+    panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| panic.downcast_ref::<&str>().copied())
+        .unwrap_or("no message")
+}
+
 fn worker_loop(shared: &PoolShared) {
     loop {
         // Take one job, parking (schedule-aware) while the queue is idle.
+        // On shutdown, queued jobs are left to be dropped with the queue,
+        // which resolves their tickets to `Err`.
         let next = loop {
             let mut q = shared.queue.lock().unwrap();
-            if let Some(item) = q.jobs.pop_front() {
-                drop(q);
-                sched::yield_point("pool.take");
-                break Some(item);
-            }
             if q.shutdown {
                 break None;
+            }
+            if let Some(job) = q.jobs.pop_front() {
+                drop(q);
+                sched::yield_point("pool.take");
+                break Some(job);
             }
             sched::pre_park("pool.park");
             let q2 = shared.cv.wait(q).unwrap();
             drop(q2);
             sched::post_park("pool.unpark");
         };
-        let Some(item) = next else { return };
-        enum Produced {
-            Compile(CompileOutcome, Sender<CompileOutcome>),
-            Emit(EmitOutcome, Sender<EmitOutcome>),
-        }
-        let produced = match item {
-            WorkItem::Compile(job, tx) => Produced::Compile(run_pipeline(*job), tx),
-            WorkItem::Emit(job, tx) => Produced::Emit(run_emit(&job), tx),
-        };
-        {
-            let mut q = shared.queue.lock().unwrap();
-            q.executed += 1;
-        }
-        sched::yield_point("pool.result");
-        // The submitter may have vanished (program ended and the monitor
-        // dropped the ticket); a send failure is fine.
-        match produced {
-            Produced::Compile(outcome, tx) => {
-                let _ = tx.send(outcome);
-            }
-            Produced::Emit(outcome, tx) => {
-                let _ = tx.send(outcome);
-            }
-        }
+        let Some(job) = next else { return };
+        job(shared);
         sched::wake_all();
     }
 }
 
-/// The compile pipeline, identical to the monitor's synchronous
-/// `compile_fragment` but free of `&mut Monitor`: backward filters, the
-/// post-filter trace verification, assembly, fusion, and the backend
-/// fragment verification. Panics anywhere in the pipeline are caught and
-/// reported as [`CompileOutcome::Failed`].
-fn run_pipeline(job: CompileJob) -> CompileOutcome {
-    let CompileJob { mut recorded, verify_base, opts } = job;
-    let result = std::panic::catch_unwind(AssertUnwindSafe(move || {
-        let liveness = ExitLiveness {
-            live_slots: recorded.exits.iter().map(SideExitInfo::live_slots).collect(),
-        };
-        run_backward_filters(&mut recorded.lir, &liveness, &recorded.loop_live);
-        if opts.verify {
-            if let Err(err) = recorded.verify(&verify_base) {
-                return Err(format!("backward filters produced a malformed trace: {err}"));
-            }
-        }
-        let mut frag = assemble(&recorded.lir);
-        if opts.enable_fusion {
-            frag = tm_nanojit::fuse(frag);
-        }
-        if opts.verify {
-            if let Err(err) = tm_verifier::verify_fragment(&frag) {
-                return Err(format!("backend produced a malformed fragment: {err}"));
-            }
-        }
-        Ok((recorded, frag))
-    }));
-    match result {
-        Ok(Ok((recorded, frag))) => CompileOutcome::Done {
-            recorded: Box::new(recorded),
-            fragment: Box::new(frag),
-        },
-        Ok(Err(msg)) => CompileOutcome::Failed(msg),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "compile pipeline panicked".into());
-            CompileOutcome::Failed(format!("compile pipeline panicked: {msg}"))
-        }
-    }
-}
-
-/// The emission pipeline: `emit_tree` under the same panic fence as the
-/// compile pipeline, so an encoder defect surfaces as a failed job (the
-/// monitor marks the tree unsupported) rather than a dead worker.
-fn run_emit(job: &EmitJob) -> EmitOutcome {
-    let result =
-        std::panic::catch_unwind(AssertUnwindSafe(|| emit_tree(&job.fragments)));
-    match result {
-        Ok(Ok(tree)) => EmitOutcome::Done(Box::new(tree)),
-        Ok(Err(unsupported)) => EmitOutcome::Failed(unsupported.to_string()),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "emission panicked".into());
-            EmitOutcome::Failed(format!("native emission panicked: {msg}"))
-        }
-    }
-}
-
-/// Compile-time Send audit for the pool's moving parts: jobs and
-/// outcomes cross threads by construction.
+/// Compile-time Send audit: the pool and its tickets cross threads.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<CompileJob>();
-    assert_send::<CompileOutcome>();
-    assert_send::<Ticket>();
-    assert_send::<EmitJob>();
-    assert_send::<EmitOutcome>();
-    assert_send::<EmitTicket>();
+    assert_send::<Ticket<(RecordedTrace, Fragment)>>();
+    assert_send::<Ticket<tm_nanojit::NativeTree>>();
     assert_send::<CompilerPool>();
 };
 
@@ -411,5 +303,40 @@ mod tests {
     fn minimum_one_worker() {
         let pool = CompilerPool::new(0);
         assert_eq!(pool.workers(), 1);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_its_ticket_and_the_worker_runs_on() {
+        let pool = CompilerPool::new(1);
+        let bad = pool.submit(|| -> Result<u32, String> { panic!("emitter defect") });
+        let good = pool.submit(|| Ok(7u32));
+        let err = bad.wait().unwrap_err();
+        assert!(err.contains("emitter defect"), "{err}");
+        assert_eq!(good.wait(), Ok(7));
+        assert_eq!(pool.stats().executed, 2);
+    }
+
+    #[test]
+    fn dropping_the_pool_fails_pending_tickets() {
+        let pool = CompilerPool::new(1);
+        // Occupy the only worker until the pool is shutting down, so the
+        // jobs behind it are still queued when the worker stops.
+        let shared = Arc::clone(&pool.shared);
+        let busy = pool.submit(move || {
+            while !shared.queue.lock().unwrap().shutdown {
+                std::thread::yield_now();
+            }
+            Ok(())
+        });
+        while pool.stats().queued > 0 {
+            std::thread::yield_now();
+        }
+        let polled = pool.submit(|| Ok(1u32));
+        let waited = pool.submit(|| Ok(2u32));
+        drop(pool);
+        let shut = Err(SHUT_DOWN.to_string());
+        assert_eq!(busy.wait(), Ok(()));
+        assert_eq!(polled.try_ready(), Some(shut.clone()));
+        assert_eq!(waited.wait(), shut);
     }
 }

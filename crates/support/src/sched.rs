@@ -222,7 +222,6 @@ impl Schedule {
             let mut st = self.core.state.lock().unwrap();
             assert!(st.threads[tok] == Run::Unborn, "token {tok} attached twice");
             st.threads[tok] = Run::Runnable;
-            st.trace.push((tok, "attach"));
             self.core.cv.notify_all();
         }
         PARTICIPANT.with(|p| *p.borrow_mut() = Some((Arc::clone(&self.core), tok)));
@@ -230,9 +229,11 @@ impl Schedule {
         Participant { core: Arc::clone(&self.core), tok }
     }
 
-    /// Arms the schedule: waits for every participant to attach, picks
-    /// the first turn with the seeded RNG, and releases the threads.
-    /// Panics if another schedule is already armed in this process.
+    /// Arms the schedule: waits for every participant to attach, logs the
+    /// attaches in token order (threads arrive in any order, and the trace
+    /// must be a function of the seed alone), picks the first turn with
+    /// the seeded RNG, and releases the threads. Panics if another
+    /// schedule is already armed in this process.
     pub fn start(&self) {
         assert!(
             !ARMED.swap(true, Ordering::SeqCst),
@@ -247,6 +248,8 @@ impl Schedule {
                 panic!("sched: not every participant attached");
             }
         }
+        let n = st.threads.len();
+        st.trace.extend((0..n).map(|tok| (tok, "attach")));
         st.started = true;
         st.pick_next();
         self.core.cv.notify_all();
@@ -386,6 +389,7 @@ mod tests {
         let x = interleave(7);
         let y = interleave(7);
         assert_eq!(x, y);
+        assert_eq!(x[..2], [(0, "attach"), (1, "attach")], "attaches log in token order");
         // Both threads ran all their yield points.
         assert_eq!(x.iter().filter(|e| e.1 == "work").count(), 8);
     }
@@ -400,6 +404,7 @@ mod tests {
     #[test]
     fn unregistered_threads_ignore_the_hooks() {
         // No schedule armed: all hooks are no-ops.
+        let _g = RIG.lock().unwrap_or_else(|e| e.into_inner());
         yield_point("free");
         pre_park("free");
         post_park("free");
