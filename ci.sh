@@ -64,20 +64,24 @@ else
     echo "    SKIP: native backend needs Linux x86_64"
 fi
 
-echo "==> determinism: schedule-rig replay, 20 runs each"
+echo "==> determinism: schedule-rig replay and shared-realm reuse, 20 runs each"
 # One seed must give one interleaving trace. A replay defect (e.g. logging
-# in thread-arrival order) shows up only in some runs, so both checks run
+# in thread-arrival order) shows up only in some runs, so these checks run
 # 20 times here: a regression fails this stage every time, not as a flake.
+# The shared-realm test asserts cross-realm reuse between batches of
+# realms on a background pool; an ordering bug there shows only in some
+# runs too.
 for run in $(seq 1 20); do
     if ! { cargo test -q --offline --locked -p tm-support --lib sched:: \
-            && cargo test -q --offline --locked --test concurrency same_seed; } \
+            && cargo test -q --offline --locked --test concurrency same_seed \
+            && cargo test -q --offline --locked --test concurrency concurrent_shared_realms; } \
             > target/determinism.log 2>&1; then
         cat target/determinism.log
-        echo "error: schedule replay diverged on run $run of 20" >&2
+        echo "error: determinism stage failed on run $run of 20" >&2
         exit 1
     fi
 done
-echo "    OK: sched unit tests and same-seed replay passed 20/20"
+echo "    OK: sched unit tests, same-seed replay and shared-realm reuse passed 20/20"
 
 echo "==> workspace member tests (per-crate units, tm-support, tm-bench)"
 cargo test -q --workspace --exclude tracemonkey --offline --locked

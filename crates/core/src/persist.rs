@@ -47,8 +47,9 @@ pub const MAGIC: [u8; 4] = *b"TMTC";
 
 /// Current format version. Readers reject any other value (there is no
 /// cross-version migration: a cache is a regenerable artifact, so version
-/// skew simply degrades to a cold start).
-pub const VERSION: u32 = 1;
+/// skew simply degrades to a cold start). Version 2 is the composable
+/// fused-instruction opcodes (`docs/PERSISTENCE.md` §4).
+pub const VERSION: u32 = 2;
 
 /// Why a cache file or entry was rejected. Every variant degrades to a
 /// cold start; none is fatal to the VM.
@@ -1222,9 +1223,13 @@ mod tests {
             assert!(split_file(&bytes[..cut]).is_err(), "cut at {cut}");
         }
         // Version skew is detected before any entry is touched.
-        let mut skewed = bytes;
+        let mut skewed = bytes.clone();
         skewed[4] = 0xfe;
         assert!(matches!(split_file(&skewed), Err(CacheError::BadVersion { .. })));
+        // A version-1 file (the old fused opcodes) is skew too.
+        let mut v1 = bytes;
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(split_file(&v1), Err(CacheError::BadVersion { found: 1 }));
     }
 
     #[test]

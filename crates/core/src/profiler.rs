@@ -117,10 +117,11 @@ pub struct ProfileStats {
     /// Fragments emitted as native x86-64 code (counted once per
     /// fragment when a tree's buffer is (re-)emitted).
     pub native_fragments: u64,
-    /// Tree executions that fell back to the decoded executor because
-    /// the tree contains an op the native emitter does not support (or
-    /// the native tier is disabled/unsupported, with `native_backend`
-    /// requested on).
+    /// Tree executions that ran on the decoded executor while
+    /// `native_backend` was requested on: the tree contains an op the
+    /// native emitter does not support (a `CallHelper` wider than
+    /// `MAX_HELPER_ARGS`), its re-emission countdown or background
+    /// emission is still pending, or the target has no native tier.
     pub native_fallbacks: u64,
     /// Tree executions that ran through the native x86-64 backend (each
     /// contributes exactly one native exit).

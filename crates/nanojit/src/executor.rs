@@ -12,7 +12,9 @@ use tm_runtime::trace_helpers::{call_helper, f64_from_word, i32_from_word, word_
 use tm_runtime::value::{INT_MAX, INT_MIN};
 use tm_runtime::{ObjectId, Realm, RuntimeError, StringId, Value};
 
-use crate::machinst::{Fragment, MachInst, Reg, EXIT_UNSTITCHED, NREGS, REG_FILE_WORDS, REG_MASK};
+use crate::machinst::{
+    Fragment, MachInst, Opd, Reg, EXIT_UNSTITCHED, NREGS, REG_FILE_WORDS, REG_MASK,
+};
 
 /// Host callback for nested-tree calls (§4). Implemented by the trace
 /// monitor, which owns the tree registry and the interpreter state needed
@@ -83,8 +85,8 @@ fn fits_i31(v: i64) -> bool {
     (INT_MIN..=INT_MAX).contains(&v)
 }
 
-/// Unchecked integer ALU shared by the fused immediate/AR/write-through
-/// forms; semantics identical to the raw per-op match arms.
+/// Unchecked integer ALU of the fused [`MachInst::Alu`]; semantics
+/// identical to the raw per-op match arms.
 #[inline]
 fn alu_i(op: AluOp, x: i32, y: i32) -> i32 {
     match op {
@@ -213,7 +215,7 @@ pub fn execute(
         }};
     }
 
-    // The loop edge (raw `LoopBack` and the fused loop-edge triples):
+    // The loop edge (raw `LoopBack` and the fused forms' `loop_exit`):
     // preemption flag guard at every crossing (§6.4), the deferred-GC safe
     // point, then back to the tree anchor (fragment 0, pc 0).
     macro_rules! loop_edge {
@@ -232,6 +234,51 @@ pub fn execute(
         }};
     }
 
+    // A fused form's operand: a register, or the folded `ConstW` word /
+    // `ReadAr` slot.
+    macro_rules! opd {
+        ($o:expr) => {
+            match $o {
+                Opd::Reg(x) => reg!(x),
+                Opd::Imm(imm) => i64::from(imm) as u64,
+                Opd::Ar(slot) => ar[slot as usize],
+            }
+        };
+    }
+
+    // One spelling of each ALU, checked-ALU and compare body over operand
+    // words, shared by the raw arms and the fused forms. `alu!`/`chk!`
+    // write `d` (a failed check exits before any write); `cmp!` yields
+    // the 0/1 word.
+    macro_rules! reg {
+        ($x:expr) => {
+            regs[r($x)]
+        };
+    }
+    macro_rules! alu {
+        ($op:expr, $d:expr, $x:expr, $y:expr) => {
+            regs[r($d)] = i64::from(alu_i($op, i32_from_word($x), i32_from_word($y))) as u64
+        };
+    }
+    macro_rules! chk {
+        ($op:expr, $d:expr, $x:expr, $y:expr, $exit:expr) => {{
+            let Some(v) = chk_alu_i($op, i32_from_word($x), i32_from_word($y)) else {
+                take_exit!($exit)
+            };
+            regs[r($d)] = v as u64;
+        }};
+    }
+    macro_rules! cmp {
+        ($op:expr, $double:expr, $x:expr, $y:expr) => {{
+            let (x, y) = ($x, $y);
+            u64::from(if $double {
+                cmp_d($op, f64_from_word(x), f64_from_word(y))
+            } else {
+                cmp_i($op, i32_from_word(x), i32_from_word(y))
+            })
+        }};
+    }
+
     loop {
         let inst = &frag.code[pc];
         pc += 1;
@@ -244,52 +291,15 @@ pub fn execute(
             MachInst::ReadAr { d, slot } => regs[r(d)] = ar[slot as usize],
             MachInst::WriteAr { slot, s } => ar[slot as usize] = regs[r(s)],
 
-            MachInst::AddI { d, a, b } => {
-                regs[r(d)] = i64::from(
-                    i32_from_word(regs[r(a)]).wrapping_add(i32_from_word(regs[r(b)])),
-                ) as u64;
-            }
-            MachInst::SubI { d, a, b } => {
-                regs[r(d)] = i64::from(
-                    i32_from_word(regs[r(a)]).wrapping_sub(i32_from_word(regs[r(b)])),
-                ) as u64;
-            }
-            MachInst::MulI { d, a, b } => {
-                regs[r(d)] = i64::from(
-                    i32_from_word(regs[r(a)]).wrapping_mul(i32_from_word(regs[r(b)])),
-                ) as u64;
-            }
-            MachInst::AndI { d, a, b } => {
-                regs[r(d)] =
-                    i64::from(i32_from_word(regs[r(a)]) & i32_from_word(regs[r(b)]))
-                        as u64;
-            }
-            MachInst::OrI { d, a, b } => {
-                regs[r(d)] =
-                    i64::from(i32_from_word(regs[r(a)]) | i32_from_word(regs[r(b)]))
-                        as u64;
-            }
-            MachInst::XorI { d, a, b } => {
-                regs[r(d)] =
-                    i64::from(i32_from_word(regs[r(a)]) ^ i32_from_word(regs[r(b)]))
-                        as u64;
-            }
-            MachInst::ShlI { d, a, b } => {
-                let sh = (i32_from_word(regs[r(b)]) & 31) as u32;
-                regs[r(d)] =
-                    i64::from(i32_from_word(regs[r(a)]).wrapping_shl(sh)) as u64;
-            }
-            MachInst::ShrI { d, a, b } => {
-                let sh = (i32_from_word(regs[r(b)]) & 31) as u32;
-                regs[r(d)] =
-                    i64::from(i32_from_word(regs[r(a)]).wrapping_shr(sh)) as u64;
-            }
-            MachInst::UShrI { d, a, b } => {
-                let sh = (i32_from_word(regs[r(b)]) & 31) as u32;
-                regs[r(d)] =
-                    i64::from((i32_from_word(regs[r(a)]) as u32).wrapping_shr(sh) as i32)
-                        as u64;
-            }
+            MachInst::AddI { d, a, b } => alu!(AluOp::Add, d, reg!(a), reg!(b)),
+            MachInst::SubI { d, a, b } => alu!(AluOp::Sub, d, reg!(a), reg!(b)),
+            MachInst::MulI { d, a, b } => alu!(AluOp::Mul, d, reg!(a), reg!(b)),
+            MachInst::AndI { d, a, b } => alu!(AluOp::And, d, reg!(a), reg!(b)),
+            MachInst::OrI { d, a, b } => alu!(AluOp::Or, d, reg!(a), reg!(b)),
+            MachInst::XorI { d, a, b } => alu!(AluOp::Xor, d, reg!(a), reg!(b)),
+            MachInst::ShlI { d, a, b } => alu!(AluOp::Shl, d, reg!(a), reg!(b)),
+            MachInst::ShrI { d, a, b } => alu!(AluOp::Shr, d, reg!(a), reg!(b)),
+            MachInst::UShrI { d, a, b } => alu!(AluOp::UShr, d, reg!(a), reg!(b)),
             MachInst::NotI { d, a } => {
                 regs[r(d)] = i64::from(!i32_from_word(regs[r(a)])) as u64;
             }
@@ -298,32 +308,11 @@ pub fn execute(
                     i64::from(i32_from_word(regs[r(a)]).wrapping_neg()) as u64;
             }
 
-            MachInst::AddIChk { d, a, b, exit } => {
-                let res = i64::from(i32_from_word(regs[r(a)]))
-                    + i64::from(i32_from_word(regs[r(b)]));
-                if !fits_i31(res) {
-                    take_exit!(exit);
-                }
-                regs[r(d)] = res as u64;
-            }
-            MachInst::SubIChk { d, a, b, exit } => {
-                let res = i64::from(i32_from_word(regs[r(a)]))
-                    - i64::from(i32_from_word(regs[r(b)]));
-                if !fits_i31(res) {
-                    take_exit!(exit);
-                }
-                regs[r(d)] = res as u64;
-            }
-            MachInst::MulIChk { d, a, b, exit } => {
-                let x = i64::from(i32_from_word(regs[r(a)]));
-                let y = i64::from(i32_from_word(regs[r(b)]));
-                let res = x * y;
-                // -0 results need the double path.
-                if !fits_i31(res) || (res == 0 && (x < 0 || y < 0)) {
-                    take_exit!(exit);
-                }
-                regs[r(d)] = res as u64;
-            }
+            MachInst::AddIChk { d, a, b, exit } => chk!(ChkOp::Add, d, reg!(a), reg!(b), exit),
+            MachInst::SubIChk { d, a, b, exit } => chk!(ChkOp::Sub, d, reg!(a), reg!(b), exit),
+            MachInst::MulIChk { d, a, b, exit } => chk!(ChkOp::Mul, d, reg!(a), reg!(b), exit),
+            MachInst::ShlIChk { d, a, b, exit } => chk!(ChkOp::Shl, d, reg!(a), reg!(b), exit),
+            MachInst::UShrIChk { d, a, b, exit } => chk!(ChkOp::UShr, d, reg!(a), reg!(b), exit),
             MachInst::NegIChk { d, a, exit } => {
                 let x = i64::from(i32_from_word(regs[r(a)]));
                 let res = -x;
@@ -343,22 +332,6 @@ pub fn execute(
                     take_exit!(exit);
                 }
                 regs[r(d)] = i64::from(res) as u64;
-            }
-            MachInst::ShlIChk { d, a, b, exit } => {
-                let sh = (i32_from_word(regs[r(b)]) & 31) as u32;
-                let res = i32_from_word(regs[r(a)]).wrapping_shl(sh);
-                if !fits_i31(i64::from(res)) {
-                    take_exit!(exit);
-                }
-                regs[r(d)] = i64::from(res) as u64;
-            }
-            MachInst::UShrIChk { d, a, b, exit } => {
-                let sh = (i32_from_word(regs[r(b)]) & 31) as u32;
-                let res = (i32_from_word(regs[r(a)]) as u32).wrapping_shr(sh);
-                if i64::from(res) > INT_MAX {
-                    take_exit!(exit);
-                }
-                regs[r(d)] = u64::from(res);
             }
 
             MachInst::AddD { d, a, b } => {
@@ -390,46 +363,16 @@ pub fn execute(
                 regs[r(d)] = word_from_f64(-f64_from_word(regs[r(a)]));
             }
 
-            MachInst::EqI { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(i32_from_word(regs[r(a)]) == i32_from_word(regs[r(b)]));
-            }
-            MachInst::LtI { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(i32_from_word(regs[r(a)]) < i32_from_word(regs[r(b)]));
-            }
-            MachInst::LeI { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(i32_from_word(regs[r(a)]) <= i32_from_word(regs[r(b)]));
-            }
-            MachInst::GtI { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(i32_from_word(regs[r(a)]) > i32_from_word(regs[r(b)]));
-            }
-            MachInst::GeI { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(i32_from_word(regs[r(a)]) >= i32_from_word(regs[r(b)]));
-            }
-            MachInst::EqD { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(f64_from_word(regs[r(a)]) == f64_from_word(regs[r(b)]));
-            }
-            MachInst::LtD { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(f64_from_word(regs[r(a)]) < f64_from_word(regs[r(b)]));
-            }
-            MachInst::LeD { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(f64_from_word(regs[r(a)]) <= f64_from_word(regs[r(b)]));
-            }
-            MachInst::GtD { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(f64_from_word(regs[r(a)]) > f64_from_word(regs[r(b)]));
-            }
-            MachInst::GeD { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(f64_from_word(regs[r(a)]) >= f64_from_word(regs[r(b)]));
-            }
+            MachInst::EqI { d, a, b } => regs[r(d)] = cmp!(CmpOp::Eq, false, reg!(a), reg!(b)),
+            MachInst::LtI { d, a, b } => regs[r(d)] = cmp!(CmpOp::Lt, false, reg!(a), reg!(b)),
+            MachInst::LeI { d, a, b } => regs[r(d)] = cmp!(CmpOp::Le, false, reg!(a), reg!(b)),
+            MachInst::GtI { d, a, b } => regs[r(d)] = cmp!(CmpOp::Gt, false, reg!(a), reg!(b)),
+            MachInst::GeI { d, a, b } => regs[r(d)] = cmp!(CmpOp::Ge, false, reg!(a), reg!(b)),
+            MachInst::EqD { d, a, b } => regs[r(d)] = cmp!(CmpOp::Eq, true, reg!(a), reg!(b)),
+            MachInst::LtD { d, a, b } => regs[r(d)] = cmp!(CmpOp::Lt, true, reg!(a), reg!(b)),
+            MachInst::LeD { d, a, b } => regs[r(d)] = cmp!(CmpOp::Le, true, reg!(a), reg!(b)),
+            MachInst::GtD { d, a, b } => regs[r(d)] = cmp!(CmpOp::Gt, true, reg!(a), reg!(b)),
+            MachInst::GeD { d, a, b } => regs[r(d)] = cmp!(CmpOp::Ge, true, reg!(a), reg!(b)),
             MachInst::NotB { d, a } => {
                 regs[r(d)] = u64::from(regs[r(a)] == 0);
             }
@@ -615,92 +558,49 @@ pub fn execute(
             MachInst::End { exit } => take_exit!(exit),
 
             // ----- fused superinstructions (emitted by the peephole pass) -----
-            MachInst::CmpBranchI { op, want, a, b, exit } => {
+            MachInst::Alu { op, d, a, b, wr } => {
                 fused += 1;
-                if cmp_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])) != want {
-                    take_exit!(exit);
+                alu!(op, d, opd!(a), opd!(b));
+                if let Some(slot) = wr {
+                    ar[slot as usize] = regs[r(d)];
                 }
             }
-            MachInst::CmpBranchD { op, want, a, b, exit } => {
+            MachInst::Chk { op, d, a, b, exit, wr, loop_exit } => {
                 fused += 1;
-                if cmp_d(op, f64_from_word(regs[r(a)]), f64_from_word(regs[r(b)])) != want {
-                    take_exit!(exit);
+                chk!(op, d, reg!(a), opd!(b), exit);
+                if let Some(slot) = wr {
+                    ar[slot as usize] = regs[r(d)];
+                }
+                if let Some(loop_exit) = loop_exit {
+                    loop_edge!(loop_exit);
                 }
             }
-            MachInst::CmpBranchLoopI { op, want, a, b, exit, loop_exit } => {
+            // The result is written (register, then AR slot) *before* the
+            // guard's exit check, matching the raw order: a failing exit
+            // must see the stored condition.
+            MachInst::Cmp { op, double, d, a, b, wr, guard, loop_exit } => {
                 fused += 1;
-                if cmp_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])) != want {
-                    take_exit!(exit);
+                let c = cmp!(op, double, reg!(a), opd!(b));
+                if let Some(d) = d {
+                    regs[r(d)] = c;
                 }
-                loop_edge!(loop_exit);
-            }
-            MachInst::CmpBranchLoopD { op, want, a, b, exit, loop_exit } => {
-                fused += 1;
-                if cmp_d(op, f64_from_word(regs[r(a)]), f64_from_word(regs[r(b)])) != want {
-                    take_exit!(exit);
+                if let Some(slot) = wr {
+                    ar[slot as usize] = c;
                 }
-                loop_edge!(loop_exit);
-            }
-            MachInst::AluImmI { op, d, a, imm } => {
-                fused += 1;
-                regs[r(d)] = i64::from(alu_i(op, i32_from_word(regs[r(a)]), imm)) as u64;
-            }
-            MachInst::AluArI { op, d, slot, b } => {
-                fused += 1;
-                let x = i32_from_word(ar[slot as usize]);
-                regs[r(d)] = i64::from(alu_i(op, x, i32_from_word(regs[r(b)]))) as u64;
-            }
-            MachInst::AluWrI { op, d, a, b, slot } => {
-                fused += 1;
-                let v =
-                    i64::from(alu_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])))
-                        as u64;
-                regs[r(d)] = v;
-                ar[slot as usize] = v;
-            }
-            MachInst::AluImmWrI { op, d, a, imm, slot } => {
-                fused += 1;
-                let v = i64::from(alu_i(op, i32_from_word(regs[r(a)]), imm)) as u64;
-                regs[r(d)] = v;
-                ar[slot as usize] = v;
-            }
-            MachInst::ChkAluImmI { op, d, a, imm, exit } => {
-                fused += 1;
-                match chk_alu_i(op, i32_from_word(regs[r(a)]), imm) {
-                    Some(res) => regs[r(d)] = res as u64,
-                    None => take_exit!(exit),
-                }
-            }
-            MachInst::ChkAluWrI { op, d, a, b, exit, slot } => {
-                fused += 1;
-                match chk_alu_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])) {
-                    Some(res) => {
-                        regs[r(d)] = res as u64;
-                        ar[slot as usize] = res as u64;
+                if let Some(g) = guard {
+                    if c != u64::from(g.want) {
+                        take_exit!(g.exit);
                     }
-                    None => take_exit!(exit),
+                }
+                if let Some(loop_exit) = loop_exit {
+                    loop_edge!(loop_exit);
                 }
             }
-            MachInst::ChkAluImmWrI { op, d, a, imm, exit, slot } => {
+            MachInst::WriteArN { n, slots, srcs } => {
                 fused += 1;
-                match chk_alu_i(op, i32_from_word(regs[r(a)]), imm) {
-                    Some(res) => {
-                        regs[r(d)] = res as u64;
-                        ar[slot as usize] = res as u64;
-                    }
-                    None => take_exit!(exit),
+                for (&slot, &s) in slots.iter().zip(&srcs).take(usize::from(n)) {
+                    ar[slot as usize] = regs[r(s)];
                 }
-            }
-            MachInst::ChkAluImmWrLoopI { op, d, a, imm, slot, exit, loop_exit } => {
-                fused += 1;
-                match chk_alu_i(op, i32_from_word(regs[r(a)]), imm) {
-                    Some(res) => {
-                        regs[r(d)] = res as u64;
-                        ar[slot as usize] = res as u64;
-                    }
-                    None => take_exit!(exit),
-                }
-                loop_edge!(loop_exit);
             }
             MachInst::ConstWrAr { d, w, slot } => {
                 fused += 1;
@@ -712,90 +612,6 @@ pub fn execute(
                 let v = ar[src as usize];
                 regs[r(d)] = v;
                 ar[dst as usize] = v;
-            }
-            MachInst::WriteAr2 { slot_a, s_a, slot_b, s_b } => {
-                fused += 1;
-                ar[slot_a as usize] = regs[r(s_a)];
-                ar[slot_b as usize] = regs[r(s_b)];
-            }
-            MachInst::WriteAr3 { slot_a, s_a, slot_b, s_b, slot_c, s_c } => {
-                fused += 1;
-                ar[slot_a as usize] = regs[r(s_a)];
-                ar[slot_b as usize] = regs[r(s_b)];
-                ar[slot_c as usize] = regs[r(s_c)];
-            }
-            MachInst::AluArWrI { op, d, slot_a, b, slot_d } => {
-                fused += 1;
-                let x = i32_from_word(ar[slot_a as usize]);
-                let v = i64::from(alu_i(op, x, i32_from_word(regs[r(b)]))) as u64;
-                regs[r(d)] = v;
-                ar[slot_d as usize] = v;
-            }
-            MachInst::CmpImmI { op, d, a, imm } => {
-                fused += 1;
-                regs[r(d)] = u64::from(cmp_i(op, i32_from_word(regs[r(a)]), imm));
-            }
-            MachInst::CmpWrI { op, d, a, b, slot } => {
-                fused += 1;
-                let v = u64::from(cmp_i(
-                    op,
-                    i32_from_word(regs[r(a)]),
-                    i32_from_word(regs[r(b)]),
-                ));
-                regs[r(d)] = v;
-                ar[slot as usize] = v;
-            }
-            MachInst::CmpWrD { op, d, a, b, slot } => {
-                fused += 1;
-                let v = u64::from(cmp_d(
-                    op,
-                    f64_from_word(regs[r(a)]),
-                    f64_from_word(regs[r(b)]),
-                ));
-                regs[r(d)] = v;
-                ar[slot as usize] = v;
-            }
-            MachInst::CmpImmWrI { op, d, a, imm, slot } => {
-                fused += 1;
-                let v = u64::from(cmp_i(op, i32_from_word(regs[r(a)]), imm));
-                regs[r(d)] = v;
-                ar[slot as usize] = v;
-            }
-            MachInst::CmpBranchImmI { op, want, a, imm, exit } => {
-                fused += 1;
-                if cmp_i(op, i32_from_word(regs[r(a)]), imm) != want {
-                    take_exit!(exit);
-                }
-            }
-            // The Wr-branch forms write the register and the AR slot
-            // *before* the exit check, matching the raw order (a failing
-            // exit must see the stored condition).
-            MachInst::CmpWrBranchI { op, want, d, a, b, slot, exit } => {
-                fused += 1;
-                let c = cmp_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)]));
-                regs[r(d)] = u64::from(c);
-                ar[slot as usize] = u64::from(c);
-                if c != want {
-                    take_exit!(exit);
-                }
-            }
-            MachInst::CmpWrBranchD { op, want, d, a, b, slot, exit } => {
-                fused += 1;
-                let c = cmp_d(op, f64_from_word(regs[r(a)]), f64_from_word(regs[r(b)]));
-                regs[r(d)] = u64::from(c);
-                ar[slot as usize] = u64::from(c);
-                if c != want {
-                    take_exit!(exit);
-                }
-            }
-            MachInst::CmpImmWrBranchI { op, want, d, a, imm, slot, exit } => {
-                fused += 1;
-                let c = cmp_i(op, i32_from_word(regs[r(a)]), imm);
-                regs[r(d)] = u64::from(c);
-                ar[slot as usize] = u64::from(c);
-                if c != want {
-                    take_exit!(exit);
-                }
             }
         }
     }

@@ -9,8 +9,9 @@
 //! * the **native x86-64 backend** ([`crate::x64`]) — translates the same
 //!   post-peephole `MachInst` stream into real machine code in an
 //!   executable buffer (on by default on x86-64 Linux, selected per tree
-//!   by the monitor, with whole-tree fallback to the decoded executor for
-//!   any instruction it doesn't cover).
+//!   by the monitor). Every instruction emits; the one whole-tree
+//!   fallback to the decoded executor is a `CallHelper` with more
+//!   arguments than [`crate::x64::MAX_HELPER_ARGS`].
 //!
 //! What the evaluation depends on is preserved in both tiers: compiled
 //! trace instructions operate on **unboxed words in registers**, with no
@@ -27,13 +28,31 @@
 //! * **Raw instructions** — what the assembler emits, one per LIR op (plus
 //!   allocator moves/spills).
 //! * **Fused superinstructions** — emitted only by the peephole pass
-//!   ([`crate::peephole::fuse`]), each standing in for 2–3 adjacent raw
+//!   ([`crate::peephole::fuse`]), each standing in for 2–4 adjacent raw
 //!   instructions. These model what real NanoJIT gets for free from x86:
 //!   immediate operands, memory-operand addressing modes, and macro-fused
 //!   compare-and-branch. In the decode-loop tier every dispatched
 //!   instruction costs a match arm, so shrinking the dispatched stream is
 //!   the direct analogue of emitting denser machine code; the native
 //!   backend compiles each fused form to exactly that denser encoding.
+//!
+//! A fused form is a core operation plus optional *suffixes*, one field
+//! per folded raw instruction, so each tier handles a suffix once rather
+//! than once per combination:
+//!
+//! | form | core | folded as fields |
+//! |---|---|---|
+//! | [`MachInst::Alu`] | int ALU | `ReadAr` / `ConstW` operand ([`Opd`]), `WriteAr` (`wr`) |
+//! | [`MachInst::Chk`] | checked int ALU | `ConstW` operand, `WriteAr`, `LoopBack` (`loop_exit`) |
+//! | [`MachInst::Cmp`] | int/double compare | `ConstW` operand, `WriteAr`, [`Guard`], `LoopBack` |
+//! | [`MachInst::WriteArN`] | 2–3 `WriteAr`s | — |
+//! | [`MachInst::ConstWrAr`], [`MachInst::MovAr`] | `ConstW` / `ReadAr` + `WriteAr` | — |
+//!
+//! [`MachInst::raw_width`] is one plus the number of folded instructions.
+//! Which combinations the peephole forms is its business
+//! ([`crate::peephole`] lists them). Both execution tiers accept any
+//! combination except a double compare against a folded operand, which
+//! the `.tmc` codec rejects along with fused forms that fold nothing.
 
 use tm_lir::{AluOp, ChkOp, CmpOp};
 use tm_runtime::Helper;
@@ -269,71 +288,40 @@ pub enum MachInst {
     End { exit: u16 },
 
     // ----- fused superinstructions (peephole pass only) -----
-    /// Fused compare + guard: exit unless `cmp_i(op, a, b) == want`.
-    /// Replaces a compare whose result fed exactly one `GuardTrue`
-    /// (`want: true`) / `GuardFalse` (`want: false`).
-    CmpBranchI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 },
-    /// Fused double compare + guard.
-    CmpBranchD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 },
-    /// Fused loop-edge triple: compare + guard + `LoopBack`. Exits via
-    /// `exit` when the compare misses `want`, via `loop_exit` on
-    /// preemption/GC at the loop edge, otherwise jumps to the anchor.
-    CmpBranchLoopI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 },
-    /// Double-compare flavour of the loop-edge triple.
-    CmpBranchLoopD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 },
-    /// `d = op(a, imm)` — immediate-operand ALU (`ConstW` folded in).
-    AluImmI { op: AluOp, d: Reg, a: Reg, imm: i32 },
-    /// `d = op(ar[slot], b)` — AR-operand ALU (`ReadAr` folded in).
-    AluArI { op: AluOp, d: Reg, slot: u16, b: Reg },
-    /// `d = op(a, b); ar[slot] = d` — ALU + `WriteAr`.
-    AluWrI { op: AluOp, d: Reg, a: Reg, b: Reg, slot: u16 },
-    /// `d = op(a, imm); ar[slot] = d` — immediate ALU + `WriteAr`.
-    AluImmWrI { op: AluOp, d: Reg, a: Reg, imm: i32, slot: u16 },
-    /// Checked `d = op(a, imm)`; exits on overflow like the raw checked op.
-    ChkAluImmI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16 },
-    /// Checked `d = op(a, b); ar[slot] = d`.
-    ChkAluWrI { op: ChkOp, d: Reg, a: Reg, b: Reg, exit: u16, slot: u16 },
-    /// Checked `d = op(a, imm); ar[slot] = d`.
-    ChkAluImmWrI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16, slot: u16 },
-    /// Loop-tail quad: checked `d = op(a, imm); ar[slot] = d`, then the
-    /// loop edge (`LoopBack` semantics: `loop_exit` on preemption/GC,
-    /// otherwise jump to the anchor). The overflow check exits *before*
-    /// the register/AR writes, exactly like the raw sequence.
-    ChkAluImmWrLoopI { op: ChkOp, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16, loop_exit: u16 },
+    /// Integer ALU `d = op(a, b)` with folded operands: `a` may be an AR
+    /// slot (a folded `ReadAr`), `b` an immediate (a folded `ConstW`).
+    /// `wr` folds a trailing `WriteAr` of `d`.
+    Alu { op: AluOp, d: Reg, a: Opd, b: Opd, wr: Option<u16> },
+    /// Checked integer ALU `d = op(a, b)`: exits via `exit` on overflow
+    /// *before* any write, exactly like the raw checked op. Then `d`, the
+    /// folded `WriteAr` (`wr`), and the folded loop edge (`loop_exit`:
+    /// `LoopBack` semantics, a terminator).
+    Chk { op: ChkOp, d: Reg, a: Reg, b: Opd, exit: u16, wr: Option<u16>, loop_exit: Option<u16> },
+    /// Compare `c = cmp(op, a, b)` (i32, or f64 when `double`). `d` (when
+    /// the 0/1 result is live) and `ar[wr]` are written, in that order,
+    /// *before* the folded guard's exit check, exactly like the raw
+    /// sequence — a failing exit still sees the stored condition. The
+    /// folded loop edge (`loop_exit`) follows the guard.
+    Cmp {
+        op: CmpOp,
+        double: bool,
+        d: Option<Reg>,
+        a: Reg,
+        b: Opd,
+        wr: Option<u16>,
+        guard: Option<Guard>,
+        loop_exit: Option<u16>,
+    },
+    /// `n` (2 or 3) consecutive AR stores `ar[slots[i]] = srcs[i]`,
+    /// performed in order, so duplicate slots behave exactly like the raw
+    /// sequence. Entries past `n` are unused.
+    WriteArN { n: u8, slots: [u16; 3], srcs: [Reg; 3] },
     /// `d = w; ar[slot] = w` — `ConstW` + `WriteAr` (any word: int,
     /// double bits, or a boxed value).
     ConstWrAr { d: Reg, w: u64, slot: u16 },
     /// `d = ar[src]; ar[dst] = d` — `ReadAr` + `WriteAr`, an AR-to-AR
     /// move through a register (stack shuffles at call boundaries).
     MovAr { d: Reg, src: u16, dst: u16 },
-    /// Two consecutive AR stores (performed in order, so duplicate slots
-    /// behave exactly like the raw pair).
-    WriteAr2 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg },
-    /// Three consecutive AR stores (in order).
-    WriteAr3 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg, slot_c: u16, s_c: Reg },
-    /// `d = op(ar[slot_a], b); ar[slot_d] = d` — `ReadAr` + ALU +
-    /// `WriteAr`, the full memory-to-memory x86 addressing-mode analogue.
-    AluArWrI { op: AluOp, d: Reg, slot_a: u16, b: Reg, slot_d: u16 },
-    /// `d = cmp_i(op, a, imm)` — integer compare with immediate.
-    CmpImmI { op: CmpOp, d: Reg, a: Reg, imm: i32 },
-    /// `d = cmp_i(op, a, b); ar[slot] = d` — compare + result write-back
-    /// (the recorder stores every branch condition to the AR for exits).
-    CmpWrI { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 },
-    /// Double flavour of [`MachInst::CmpWrI`].
-    CmpWrD { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 },
-    /// `d = cmp_i(op, a, imm); ar[slot] = d`.
-    CmpImmWrI { op: CmpOp, d: Reg, a: Reg, imm: i32, slot: u16 },
-    /// Immediate compare + guard (the 0/1 result was dead): exit unless
-    /// `cmp_i(op, a, imm) == want`.
-    CmpBranchImmI { op: CmpOp, want: bool, a: Reg, imm: i32, exit: u16 },
-    /// Compare + result write-back + guard. `d` and `ar[slot]` are
-    /// written (in that order) *before* the exit check, exactly like the
-    /// raw triple — a failing exit still sees the stored condition.
-    CmpWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 },
-    /// Double flavour of [`MachInst::CmpWrBranchI`].
-    CmpWrBranchD { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 },
-    /// Immediate compare + result write-back + guard.
-    CmpImmWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16 },
 }
 
 impl MachInst {
@@ -402,28 +390,14 @@ impl MachInst {
             | ArrayLen { d, .. }
             | StrLen { d, .. }
             | CallHelper { d, .. }
-            | AluImmI { d, .. }
-            | AluArI { d, .. }
-            | AluWrI { d, .. }
-            | AluImmWrI { d, .. }
-            | ChkAluImmI { d, .. }
-            | ChkAluWrI { d, .. }
-            | ChkAluImmWrI { d, .. }
-            | ChkAluImmWrLoopI { d, .. }
+            | Alu { d, .. }
+            | Chk { d, .. }
             | ConstWrAr { d, .. }
-            | MovAr { d, .. }
-            | AluArWrI { d, .. }
-            | CmpImmI { d, .. }
-            | CmpWrI { d, .. }
-            | CmpWrD { d, .. }
-            | CmpImmWrI { d, .. }
-            | CmpWrBranchI { d, .. }
-            | CmpWrBranchD { d, .. }
-            | CmpImmWrBranchI { d, .. } => Some(*d),
+            | MovAr { d, .. } => Some(*d),
+            Cmp { d, .. } => *d,
             StoreSpill { .. }
             | WriteAr { .. }
-            | WriteAr2 { .. }
-            | WriteAr3 { .. }
+            | WriteArN { .. }
             | GuardTrue { .. }
             | GuardFalse { .. }
             | GuardShape { .. }
@@ -434,12 +408,7 @@ impl MachInst {
             | StoreElem { .. }
             | CallTree { .. }
             | LoopBack { .. }
-            | End { .. }
-            | CmpBranchI { .. }
-            | CmpBranchD { .. }
-            | CmpBranchLoopI { .. }
-            | CmpBranchLoopD { .. }
-            | CmpBranchImmI { .. } => None,
+            | End { .. } => None,
         }
     }
 
@@ -480,17 +449,7 @@ impl MachInst {
             | LtD { a, b, .. }
             | LeD { a, b, .. }
             | GtD { a, b, .. }
-            | GeD { a, b, .. }
-            | AluWrI { a, b, .. }
-            | ChkAluWrI { a, b, .. }
-            | CmpBranchI { a, b, .. }
-            | CmpBranchD { a, b, .. }
-            | CmpBranchLoopI { a, b, .. }
-            | CmpBranchLoopD { a, b, .. }
-            | CmpWrI { a, b, .. }
-            | CmpWrD { a, b, .. }
-            | CmpWrBranchI { a, b, .. }
-            | CmpWrBranchD { a, b, .. } => {
+            | GeD { a, b, .. } => {
                 f(*a);
                 f(*b);
             }
@@ -516,16 +475,7 @@ impl MachInst {
             | UnboxStr { a, .. }
             | UnboxBool { a, .. }
             | ArrayLen { a, .. }
-            | StrLen { a, .. }
-            | AluImmI { a, .. }
-            | AluImmWrI { a, .. }
-            | ChkAluImmI { a, .. }
-            | ChkAluImmWrI { a, .. }
-            | ChkAluImmWrLoopI { a, .. }
-            | CmpImmI { a, .. }
-            | CmpImmWrI { a, .. }
-            | CmpBranchImmI { a, .. }
-            | CmpImmWrBranchI { a, .. } => f(*a),
+            | StrLen { a, .. } => f(*a),
             GuardTrue { s, .. } | GuardFalse { s, .. } | GuardBoxedEq { s, .. } => f(*s),
             GuardShape { obj, .. } | GuardClass { obj, .. } => f(*obj),
             GuardBound { arr, idx, .. } => {
@@ -547,16 +497,15 @@ impl MachInst {
                 f(*s);
             }
             CallHelper { args, .. } => args.iter().copied().for_each(f),
-            AluArI { b, .. } | AluArWrI { b, .. } => f(*b),
-            WriteAr2 { s_a, s_b, .. } => {
-                f(*s_a);
-                f(*s_b);
+            Alu { a, b, .. } => {
+                a.for_each_reg(&mut f);
+                b.for_each_reg(f);
             }
-            WriteAr3 { s_a, s_b, s_c, .. } => {
-                f(*s_a);
-                f(*s_b);
-                f(*s_c);
+            Chk { a, b, .. } | Cmp { a, b, .. } => {
+                f(*a);
+                b.for_each_reg(f);
             }
+            WriteArN { n, srcs, .. } => srcs.iter().take(usize::from(*n)).copied().for_each(f),
         }
     }
 
@@ -588,21 +537,10 @@ impl MachInst {
             | CallHelper { exit, .. }
             | CallTree { exit, .. }
             | LoopBack { exit }
-            | End { exit }
-            | CmpBranchI { exit, .. }
-            | CmpBranchD { exit, .. }
-            | ChkAluImmI { exit, .. }
-            | ChkAluWrI { exit, .. }
-            | ChkAluImmWrI { exit, .. }
-            | CmpBranchImmI { exit, .. }
-            | CmpWrBranchI { exit, .. }
-            | CmpWrBranchD { exit, .. }
-            | CmpImmWrBranchI { exit, .. } => f(*exit),
-            CmpBranchLoopI { exit, loop_exit, .. }
-            | CmpBranchLoopD { exit, loop_exit, .. }
-            | ChkAluImmWrLoopI { exit, loop_exit, .. } => {
-                f(*exit);
-                f(*loop_exit);
+            | End { exit } => f(*exit),
+            Chk { exit, loop_exit, .. } => std::iter::once(*exit).chain(*loop_exit).for_each(f),
+            Cmp { guard, loop_exit, .. } => {
+                guard.map(|g| g.exit).into_iter().chain(*loop_exit).for_each(f);
             }
             _ => {}
         }
@@ -650,9 +588,8 @@ impl MachInst {
                 | I2D { .. }
                 | U2D { .. }
                 | D2I32 { .. }
-                | AluImmI { .. }
-                | AluArI { .. }
-                | CmpImmI { .. }
+                | Alu { wr: None, .. }
+                | Cmp { wr: None, guard: None, loop_exit: None, .. }
         )
     }
 
@@ -663,9 +600,8 @@ impl MachInst {
             self,
             LoopBack { .. }
                 | End { .. }
-                | CmpBranchLoopI { .. }
-                | CmpBranchLoopD { .. }
-                | ChkAluImmWrLoopI { .. }
+                | Chk { loop_exit: Some(_), .. }
+                | Cmp { loop_exit: Some(_), .. }
         )
     }
 
@@ -675,38 +611,61 @@ impl MachInst {
         self.raw_width() > 1
     }
 
-    /// How many raw (pre-fusion) instructions this instruction stands for
-    /// (immediate forms count the folded `ConstW`).
+    /// How many raw (pre-fusion) instructions this instruction stands for:
+    /// one, plus one per folded operand, `WriteAr`, guard and loop edge.
     pub fn raw_width(&self) -> u64 {
         use MachInst::*;
+        let one = |folded: bool| u64::from(folded);
         match self {
-            ChkAluImmWrLoopI { .. } | CmpImmWrBranchI { .. } => 4,
-            CmpBranchLoopI { .. }
-            | CmpBranchLoopD { .. }
-            | AluImmWrI { .. }
-            | ChkAluImmWrI { .. }
-            | WriteAr3 { .. }
-            | AluArWrI { .. }
-            | CmpImmWrI { .. }
-            | CmpBranchImmI { .. }
-            | CmpWrBranchI { .. }
-            | CmpWrBranchD { .. } => 3,
-            CmpBranchI { .. }
-            | CmpBranchD { .. }
-            | AluImmI { .. }
-            | AluArI { .. }
-            | AluWrI { .. }
-            | ChkAluImmI { .. }
-            | ChkAluWrI { .. }
-            | ConstWrAr { .. }
-            | MovAr { .. }
-            | WriteAr2 { .. }
-            | CmpImmI { .. }
-            | CmpWrI { .. }
-            | CmpWrD { .. } => 2,
+            Alu { a, b, wr, .. } => {
+                1 + one(a.is_folded()) + one(b.is_folded()) + one(wr.is_some())
+            }
+            Chk { b, wr, loop_exit, .. } => {
+                1 + one(b.is_folded()) + one(wr.is_some()) + one(loop_exit.is_some())
+            }
+            Cmp { b, wr, guard, loop_exit, .. } => {
+                let suffixes = one(wr.is_some()) + one(guard.is_some()) + one(loop_exit.is_some());
+                1 + one(b.is_folded()) + suffixes
+            }
+            WriteArN { n, .. } => u64::from(*n),
+            ConstWrAr { .. } | MovAr { .. } => 2,
             _ => 1,
         }
     }
+}
+
+/// An operand of a fused ALU or compare: a register, or the raw
+/// instruction that would have loaded it, folded in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Opd {
+    /// A register.
+    Reg(Reg),
+    /// A folded `ConstW` of the sign-extended 32-bit word `i64::from(imm)`.
+    Imm(i32),
+    /// A folded `ReadAr` of this AR slot.
+    Ar(u16),
+}
+
+impl Opd {
+    /// Whether the operand stands for a folded raw instruction.
+    pub fn is_folded(self) -> bool {
+        !matches!(self, Opd::Reg(_))
+    }
+
+    fn for_each_reg(self, f: impl FnOnce(Reg)) {
+        if let Opd::Reg(r) = self {
+            f(r);
+        }
+    }
+}
+
+/// A folded `GuardTrue` (`want: true`) or `GuardFalse` (`want: false`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Guard {
+    /// The compare result that stays on trace.
+    pub want: bool,
+    /// Exit taken when the result differs.
+    pub exit: u16,
 }
 
 /// Where a side exit goes: back to the monitor, or — once a branch trace
@@ -802,5 +761,17 @@ impl Fragment {
     /// Whether the fragment is empty.
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Folding instructions into fields must not grow the instruction:
+    /// the decoded executor streams `MachInst`s through the cache.
+    #[test]
+    fn machinst_stays_at_most_32_bytes() {
+        assert!(std::mem::size_of::<MachInst>() <= 32, "{}", std::mem::size_of::<MachInst>());
     }
 }

@@ -3,14 +3,22 @@
 //! Runs between register allocation ([`crate::assembler::assemble`]) and
 //! fragment installation. Three rewrites iterate to a fixpoint:
 //!
-//! 1. **Immediate folding** — an int ALU/checked op whose operand register
-//!    provably holds a 32-bit constant (tracked forward from `ConstW`)
-//!    becomes an immediate form (`AluImmI`/`ChkAluImmI`); the `ConstW`
-//!    dies and is collected by pass 3.
-//! 2. **Adjacent-pair fusion** — compare + guard → `CmpBranch*`,
-//!    compare-branch + `LoopBack` → `CmpBranchLoop*` (the loop-edge
-//!    triple), `ReadAr` + ALU → `AluArI`, and ALU/checked-ALU +
-//!    `WriteAr` → `*WrI` forms.
+//! 1. **Immediate folding** — an int ALU, checked-ALU or compare whose
+//!    operand register provably holds a 32-bit constant (tracked forward
+//!    from `ConstW`) gets an [`Opd::Imm`] operand; the `ConstW` dies and is
+//!    collected by pass 3.
+//! 2. **Adjacent-pair fusion** — each rule folds the next raw instruction
+//!    into one field of the fused form before it:
+//!    - `ReadAr` + raw ALU → `Alu` with an [`Opd::Ar`] operand;
+//!    - `WriteAr` of the result → `wr` on a raw or fused ALU, checked ALU
+//!      or compare that has none yet (and `ConstWrAr`, `MovAr`, grouped
+//!      `WriteArN` stores);
+//!    - `GuardTrue`/`GuardFalse` on a compare result → `guard` (the
+//!      register write is dropped when nothing else reads it; a stored
+//!      result keeps it);
+//!    - `LoopBack` → `loop_exit`, only after a register-operand
+//!      compare-branch or an immediate checked ALU with a write-back
+//!      (the canonical loop tail).
 //! 3. **Dead-code removal** — pure instructions whose destination register
 //!    is never read again are deleted.
 //!
@@ -30,7 +38,9 @@
 
 use tm_lir::{AluOp, ChkOp, CmpOp};
 
-use crate::machinst::{Fragment, FuseStats, MachInst, Reg, REG_FILE_WORDS, REG_MASK};
+use crate::machinst::{
+    Fragment, FuseStats, Guard, MachInst, Opd, Reg, REG_FILE_WORDS, REG_MASK,
+};
 
 /// Fuses a fragment in place and fills in its [`FuseStats`].
 pub fn fuse(mut frag: Fragment) -> Fragment {
@@ -114,61 +124,68 @@ fn chk_parts(inst: &MachInst) -> Option<(ChkOp, Reg, Reg, Reg, u16)> {
     }
 }
 
-fn cmp_i_parts(inst: &MachInst) -> Option<(CmpOp, Reg, Reg, Reg)> {
+/// A raw compare as `(op, double, d, a, b)`.
+fn cmp_parts(inst: &MachInst) -> Option<(CmpOp, bool, Reg, Reg, Reg)> {
     use MachInst::*;
     match *inst {
-        EqI { d, a, b } => Some((CmpOp::Eq, d, a, b)),
-        LtI { d, a, b } => Some((CmpOp::Lt, d, a, b)),
-        LeI { d, a, b } => Some((CmpOp::Le, d, a, b)),
-        GtI { d, a, b } => Some((CmpOp::Gt, d, a, b)),
-        GeI { d, a, b } => Some((CmpOp::Ge, d, a, b)),
-        _ => None,
-    }
-}
-
-fn cmp_d_parts(inst: &MachInst) -> Option<(CmpOp, Reg, Reg, Reg)> {
-    use MachInst::*;
-    match *inst {
-        EqD { d, a, b } => Some((CmpOp::Eq, d, a, b)),
-        LtD { d, a, b } => Some((CmpOp::Lt, d, a, b)),
-        LeD { d, a, b } => Some((CmpOp::Le, d, a, b)),
-        GtD { d, a, b } => Some((CmpOp::Gt, d, a, b)),
-        GeD { d, a, b } => Some((CmpOp::Ge, d, a, b)),
+        EqI { d, a, b } => Some((CmpOp::Eq, false, d, a, b)),
+        LtI { d, a, b } => Some((CmpOp::Lt, false, d, a, b)),
+        LeI { d, a, b } => Some((CmpOp::Le, false, d, a, b)),
+        GtI { d, a, b } => Some((CmpOp::Gt, false, d, a, b)),
+        GeI { d, a, b } => Some((CmpOp::Ge, false, d, a, b)),
+        EqD { d, a, b } => Some((CmpOp::Eq, true, d, a, b)),
+        LtD { d, a, b } => Some((CmpOp::Lt, true, d, a, b)),
+        LeD { d, a, b } => Some((CmpOp::Le, true, d, a, b)),
+        GtD { d, a, b } => Some((CmpOp::Gt, true, d, a, b)),
+        GeD { d, a, b } => Some((CmpOp::Ge, true, d, a, b)),
         _ => None,
     }
 }
 
 /// Pass 1: rewrite register operands that provably hold constants into
-/// immediate forms. The defining `ConstW` is left for DCE to collect.
+/// immediate operands. The defining `ConstW` is left for DCE to collect.
 fn fold_immediates(code: &mut [MachInst]) -> bool {
     use MachInst::*;
     let mut known: [Option<i32>; REG_FILE_WORDS] = [None; REG_FILE_WORDS];
     let mut changed = false;
     for inst in code.iter_mut() {
+        // `(register operand, immediate, swapped)` when `b` — or, if the
+        // op may swap its operands, `a` — holds a known constant. Both
+        // constant is left to the b-side fold (a stays a reg read;
+        // LIR-level folding already handles const⊕const).
+        let imm_operand = |a: Reg, b: Reg, swappable: bool| {
+            match (known[reg_idx(a)], known[reg_idx(b)]) {
+                (_, Some(imm)) => Some((a, imm, false)),
+                (Some(imm), None) if swappable => Some((b, imm, true)),
+                _ => None,
+            }
+        };
         let replacement = if let Some((op, d, a, b)) = alu_parts(inst) {
-            match (known[reg_idx(a)], known[reg_idx(b)]) {
-                // Both constant is left to the b-side fold (a stays a reg
-                // read; LIR-level folding already handles const⊕const).
-                (_, Some(imm)) => Some(AluImmI { op, d, a, imm }),
-                (Some(imm), None) if op.commutative() => Some(AluImmI { op, d, a: b, imm }),
-                _ => None,
-            }
+            imm_operand(a, b, op.commutative())
+                .map(|(a, imm, _)| Alu { op, d, a: Opd::Reg(a), b: Opd::Imm(imm), wr: None })
         } else if let Some((op, d, a, b, exit)) = chk_parts(inst) {
-            match (known[reg_idx(a)], known[reg_idx(b)]) {
-                (_, Some(imm)) => Some(ChkAluImmI { op, d, a, imm, exit }),
-                (Some(imm), None) if op.commutative() => {
-                    Some(ChkAluImmI { op, d, a: b, imm, exit })
-                }
-                _ => None,
-            }
-        } else if let Some((op, d, a, b)) = cmp_i_parts(inst) {
+            imm_operand(a, b, op.commutative()).map(|(a, imm, _)| Chk {
+                op,
+                d,
+                a,
+                b: Opd::Imm(imm),
+                exit,
+                wr: None,
+                loop_exit: None,
+            })
+        } else if let Some((op, false, d, a, b)) = cmp_parts(inst) {
             // Compares are not commutative, but every CmpOp has a swapped
             // twin, so a constant on either side folds.
-            match (known[reg_idx(a)], known[reg_idx(b)]) {
-                (_, Some(imm)) => Some(CmpImmI { op, d, a, imm }),
-                (Some(imm), None) => Some(CmpImmI { op: op.swapped(), d, a: b, imm }),
-                _ => None,
-            }
+            imm_operand(a, b, true).map(|(a, imm, swapped)| Cmp {
+                op: if swapped { op.swapped() } else { op },
+                double: false,
+                d: Some(d),
+                a,
+                b: Opd::Imm(imm),
+                wr: None,
+                guard: None,
+                loop_exit: None,
+            })
         } else {
             None
         };
@@ -191,7 +208,7 @@ fn fold_immediates(code: &mut [MachInst]) -> bool {
 /// Pass 2: left fold over the instruction stream, fusing each instruction
 /// with the previously emitted one where a superinstruction exists.
 /// Chains compose in a single scan (`LtI`,`GuardTrue`,`LoopBack` →
-/// `CmpBranchI`,`LoopBack` → `CmpBranchLoopI`).
+/// `Cmp` + guard,`LoopBack` → `Cmp` + guard + loop edge).
 fn fuse_pairs(code: &mut Vec<MachInst>) -> bool {
     let old = std::mem::take(code);
     let mut out: Vec<MachInst> = Vec::with_capacity(old.len());
@@ -215,193 +232,124 @@ fn fuse_pairs(code: &mut Vec<MachInst>) -> bool {
 /// `tail` is the rest of the fragment after `next` (for deadness checks).
 fn try_fuse(prev: &MachInst, next: &MachInst, tail: &[MachInst]) -> Option<MachInst> {
     use MachInst::*;
+    match *next {
+        GuardTrue { s, exit } | GuardFalse { s, exit } => {
+            let guard = Some(Guard { want: matches!(next, GuardTrue { .. }), exit });
+            // compare + guard → compare-branch. The 0/1 register write is
+            // dropped when nothing else reads it; with a write-back the
+            // register and the AR slot are still written (before the exit
+            // check, exactly the raw order), so no deadness requirement.
+            if let Some((op, double, d, a, b)) = cmp_parts(prev) {
+                if s == d && reg_dead(tail, d) {
+                    let (b, wr, loop_exit) = (Opd::Reg(b), None, None);
+                    return Some(Cmp { op, double, d: None, a, b, wr, guard, loop_exit });
+                }
+            }
+            if let Cmp { op, double, d: Some(d), a, b, wr, guard: None, loop_exit: None } = *prev {
+                if s == d && (wr.is_some() || reg_dead(tail, d)) {
+                    let d = wr.map(|_| d);
+                    return Some(Cmp { op, double, d, a, b, wr, guard, loop_exit: None });
+                }
+            }
+            // boolean-not + guard → the opposite guard on the un-negated
+            // value. `NotB` is exactly `d = (a == 0)`, so guarding `d` true
+            // is guarding `a` false (and vice versa) for every u64 payload;
+            // the `NotB` write is elided, hence the deadness requirement.
+            if let NotB { d, a } = *prev {
+                if s == d && reg_dead(tail, d) {
+                    return Some(match next {
+                        GuardTrue { .. } => GuardFalse { s: a, exit },
+                        _ => GuardTrue { s: a, exit },
+                    });
+                }
+            }
+            None
+        }
 
-    // compare + guard → compare-branch (when the 0/1 result is unused
-    // beyond the guard).
-    if let (Some((op, d, a, b)), &GuardTrue { s, exit }) = (cmp_i_parts(prev), next) {
-        if s == d && reg_dead(tail, d) {
-            return Some(CmpBranchI { op, want: true, a, b, exit });
+        // compare-branch + loop edge → the loop-edge triple, and the
+        // checked-increment write-through + loop edge → the whole
+        // canonical loop tail (`i = i ⊕ imm (checked); store i; jump
+        // back`) in one dispatch. The overflow check happens before the
+        // writes, exactly as in the raw sequence.
+        LoopBack { exit } => {
+            let loop_exit = Some(exit);
+            match *prev {
+                Cmp { op, double, d, a, b: b @ Opd::Reg(_), wr: None, guard, loop_exit: None }
+                    if guard.is_some() =>
+                {
+                    Some(Cmp { op, double, d, a, b, wr: None, guard, loop_exit })
+                }
+                Chk { op, d, a, b: b @ Opd::Imm(_), exit, wr, loop_exit: None } if wr.is_some() => {
+                    Some(Chk { op, d, a, b, exit, wr, loop_exit })
+                }
+                _ => None,
+            }
         }
-    }
-    if let (Some((op, d, a, b)), &GuardFalse { s, exit }) = (cmp_i_parts(prev), next) {
-        if s == d && reg_dead(tail, d) {
-            return Some(CmpBranchI { op, want: false, a, b, exit });
-        }
-    }
-    if let (Some((op, d, a, b)), &GuardTrue { s, exit }) = (cmp_d_parts(prev), next) {
-        if s == d && reg_dead(tail, d) {
-            return Some(CmpBranchD { op, want: true, a, b, exit });
-        }
-    }
-    if let (Some((op, d, a, b)), &GuardFalse { s, exit }) = (cmp_d_parts(prev), next) {
-        if s == d && reg_dead(tail, d) {
-            return Some(CmpBranchD { op, want: false, a, b, exit });
-        }
-    }
-    if let (&CmpImmI { op, d, a, imm }, &GuardTrue { s, exit }) = (prev, next) {
-        if s == d && reg_dead(tail, d) {
-            return Some(CmpBranchImmI { op, want: true, a, imm, exit });
-        }
-    }
-    if let (&CmpImmI { op, d, a, imm }, &GuardFalse { s, exit }) = (prev, next) {
-        if s == d && reg_dead(tail, d) {
-            return Some(CmpBranchImmI { op, want: false, a, imm, exit });
-        }
-    }
 
-    // boolean-not + guard → the opposite guard on the un-negated value.
-    // `NotB` is exactly `d = (a == 0)`, so guarding `d` true is guarding
-    // `a` false (and vice versa) for every u64 payload; the `NotB` write
-    // is elided, hence the deadness requirement.
-    if let (&NotB { d, a }, &GuardTrue { s, exit }) = (prev, next) {
-        if s == d && reg_dead(tail, d) {
-            return Some(GuardFalse { s: a, exit });
+        WriteAr { slot, s } => {
+            let wr = Some(slot);
+            // ALU / checked ALU / compare + store of its result: the
+            // destination register is still written, so later uses are
+            // unaffected. (The recorder stores every branch condition to
+            // the AR before guarding on it.)
+            if let Some((op, d, a, b)) = alu_parts(prev).filter(|p| p.1 == s) {
+                return Some(Alu { op, d, a: Opd::Reg(a), b: Opd::Reg(b), wr });
+            }
+            if let Some((op, d, a, b, exit)) = chk_parts(prev).filter(|p| p.1 == s) {
+                return Some(Chk { op, d, a, b: Opd::Reg(b), exit, wr, loop_exit: None });
+            }
+            if let Some((op, double, d, a, b)) = cmp_parts(prev).filter(|p| p.2 == s) {
+                let (d, b) = (Some(d), Opd::Reg(b));
+                return Some(Cmp { op, double, d, a, b, wr, guard: None, loop_exit: None });
+            }
+            match *prev {
+                Alu { op, d, a, b, wr: None } if d == s => Some(Alu { op, d, a, b, wr }),
+                Chk { op, d, a, b, exit, wr: None, loop_exit: None } if d == s => {
+                    Some(Chk { op, d, a, b, exit, wr, loop_exit: None })
+                }
+                Cmp { op, double, d: Some(d), a, b, wr: None, guard: None, loop_exit: None }
+                    if d == s =>
+                {
+                    Some(Cmp { op, double, d: Some(d), a, b, wr, guard: None, loop_exit: None })
+                }
+                // Constant materialization + store (constants re-written to
+                // the AR every iteration by the recorder).
+                ConstW { d, w } if d == s => Some(ConstWrAr { d, w, slot }),
+                // AR-to-AR shuffle through a register; the register copy
+                // survives for later readers.
+                ReadAr { d, slot: src } if d == s => Some(MovAr { d, src, dst: slot }),
+                // Adjacent AR stores → one grouped store (order preserved;
+                // a repeated slot keeps only the last store, which is all
+                // the raw pair made visible anyway).
+                WriteAr { slot: slot_a, .. } if slot_a == slot => Some(WriteAr { slot, s }),
+                WriteAr { slot: slot_a, s: s_a } => {
+                    Some(WriteArN { n: 2, slots: [slot_a, slot, 0], srcs: [s_a, s, 0] })
+                }
+                WriteArN { n: 2, slots: [slot_a, slot_b, _], srcs: [s_a, s_b, _] } => {
+                    Some(WriteArN { n: 3, slots: [slot_a, slot_b, slot], srcs: [s_a, s_b, s] })
+                }
+                _ => None,
+            }
         }
-    }
-    if let (&NotB { d, a }, &GuardFalse { s, exit }) = (prev, next) {
-        if s == d && reg_dead(tail, d) {
-            return Some(GuardTrue { s: a, exit });
-        }
-    }
 
-    // compare-write-through + guard → compare-write-branch. The register
-    // and the AR slot are still written (before the exit check, exactly
-    // the raw order), so no deadness requirement.
-    if let (&CmpWrI { op, d, a, b, slot }, &GuardTrue { s, exit }) = (prev, next) {
-        if s == d {
-            return Some(CmpWrBranchI { op, want: true, d, a, b, slot, exit });
+        // ReadAr + ALU → AR-operand ALU. The loaded register must die at
+        // the ALU (it is either overwritten by it or never read again),
+        // and must not feed the ALU's *other* operand, which would still
+        // read it.
+        _ => {
+            let ReadAr { d: r, slot } = *prev else { return None };
+            let (op, d, a, b) = alu_parts(next)?;
+            let dead = d == r || reg_dead(tail, r);
+            let other = if a == r && b != r {
+                b
+            } else if b == r && a != r && op.commutative() {
+                a
+            } else {
+                return None;
+            };
+            dead.then_some(Alu { op, d, a: Opd::Ar(slot), b: Opd::Reg(other), wr: None })
         }
     }
-    if let (&CmpWrI { op, d, a, b, slot }, &GuardFalse { s, exit }) = (prev, next) {
-        if s == d {
-            return Some(CmpWrBranchI { op, want: false, d, a, b, slot, exit });
-        }
-    }
-    if let (&CmpWrD { op, d, a, b, slot }, &GuardTrue { s, exit }) = (prev, next) {
-        if s == d {
-            return Some(CmpWrBranchD { op, want: true, d, a, b, slot, exit });
-        }
-    }
-    if let (&CmpWrD { op, d, a, b, slot }, &GuardFalse { s, exit }) = (prev, next) {
-        if s == d {
-            return Some(CmpWrBranchD { op, want: false, d, a, b, slot, exit });
-        }
-    }
-    if let (&CmpImmWrI { op, d, a, imm, slot }, &GuardTrue { s, exit }) = (prev, next) {
-        if s == d {
-            return Some(CmpImmWrBranchI { op, want: true, d, a, imm, slot, exit });
-        }
-    }
-    if let (&CmpImmWrI { op, d, a, imm, slot }, &GuardFalse { s, exit }) = (prev, next) {
-        if s == d {
-            return Some(CmpImmWrBranchI { op, want: false, d, a, imm, slot, exit });
-        }
-    }
-
-    // compare-branch + loop edge → the loop-edge triple.
-    if let (&CmpBranchI { op, want, a, b, exit }, &LoopBack { exit: loop_exit }) = (prev, next) {
-        return Some(CmpBranchLoopI { op, want, a, b, exit, loop_exit });
-    }
-    if let (&CmpBranchD { op, want, a, b, exit }, &LoopBack { exit: loop_exit }) = (prev, next) {
-        return Some(CmpBranchLoopD { op, want, a, b, exit, loop_exit });
-    }
-    // checked-increment write-through + loop edge → the whole canonical
-    // loop tail (`i = i ⊕ imm (checked); store i; jump back`) in one
-    // dispatch. The overflow check happens before the writes, exactly as
-    // in the raw sequence.
-    if let (&ChkAluImmWrI { op, d, a, imm, exit, slot }, &LoopBack { exit: loop_exit }) =
-        (prev, next)
-    {
-        return Some(ChkAluImmWrLoopI { op, d, a, imm, slot, exit, loop_exit });
-    }
-
-    // ReadAr + ALU → AR-operand ALU. The loaded register must die at the
-    // ALU (it is either overwritten by it or never read again), and must
-    // not feed the ALU's *other* operand, which would still read it.
-    if let (&ReadAr { d: r, slot }, Some((op, d, a, b))) = (prev, alu_parts(next)) {
-        let dead = d == r || reg_dead(tail, r);
-        if a == r && b != r && dead {
-            return Some(AluArI { op, d, slot, b });
-        }
-        if b == r && a != r && op.commutative() && dead {
-            return Some(AluArI { op, d, slot, b: a });
-        }
-    }
-
-    // ALU + WriteAr of its result → combined write-through forms. The
-    // destination register is still written, so later uses are unaffected.
-    if let &WriteAr { slot, s } = next {
-        if let Some((op, d, a, b)) = alu_parts(prev) {
-            if s == d {
-                return Some(AluWrI { op, d, a, b, slot });
-            }
-        }
-        if let &AluImmI { op, d, a, imm } = prev {
-            if s == d {
-                return Some(AluImmWrI { op, d, a, imm, slot });
-            }
-        }
-        if let Some((op, d, a, b, exit)) = chk_parts(prev) {
-            if s == d {
-                return Some(ChkAluWrI { op, d, a, b, exit, slot });
-            }
-        }
-        if let &ChkAluImmI { op, d, a, imm, exit } = prev {
-            if s == d {
-                return Some(ChkAluImmWrI { op, d, a, imm, exit, slot });
-            }
-        }
-        // Compare + store of its 0/1 result (the recorder stores every
-        // branch condition to the AR before guarding on it).
-        if let Some((op, d, a, b)) = cmp_i_parts(prev) {
-            if s == d {
-                return Some(CmpWrI { op, d, a, b, slot });
-            }
-        }
-        if let Some((op, d, a, b)) = cmp_d_parts(prev) {
-            if s == d {
-                return Some(CmpWrD { op, d, a, b, slot });
-            }
-        }
-        if let &CmpImmI { op, d, a, imm } = prev {
-            if s == d {
-                return Some(CmpImmWrI { op, d, a, imm, slot });
-            }
-        }
-        // Constant materialization + store (constants re-written to the
-        // AR every iteration by the recorder).
-        if let &ConstW { d, w } = prev {
-            if s == d {
-                return Some(ConstWrAr { d, w, slot });
-            }
-        }
-        // AR-to-AR shuffle through a register; the register copy
-        // survives for later readers.
-        if let &ReadAr { d, slot: src } = prev {
-            if s == d {
-                return Some(MovAr { d, src, dst: slot });
-            }
-        }
-        if let &AluArI { op, d, slot: slot_a, b } = prev {
-            if s == d {
-                return Some(AluArWrI { op, d, slot_a, b, slot_d: slot });
-            }
-        }
-        // Adjacent AR stores → one grouped store (order preserved; a
-        // repeated slot keeps only the last store, which is all the raw
-        // pair made visible anyway).
-        if let &WriteAr { slot: slot_a, s: s_a } = prev {
-            if slot_a == slot {
-                return Some(WriteAr { slot, s });
-            }
-            return Some(WriteAr2 { slot_a, s_a, slot_b: slot, s_b: s });
-        }
-        if let &WriteAr2 { slot_a, s_a, slot_b, s_b } = prev {
-            return Some(WriteAr3 { slot_a, s_a, slot_b, s_b, slot_c: slot, s_c: s });
-        }
-    }
-
-    None
 }
 
 /// Pass 3: backward liveness; deletes pure instructions whose destination
@@ -460,8 +408,25 @@ mod tests {
             vec![
                 ReadAr { d: 0, slot: 0 },
                 ReadAr { d: 1, slot: 1 },
-                ChkAluImmWrI { op: ChkOp::Add, d: 3, a: 0, imm: 1, exit: 0, slot: 0 },
-                CmpBranchLoopI { op: CmpOp::Lt, want: true, a: 3, b: 1, exit: 1, loop_exit: 2 },
+                Chk {
+                    op: ChkOp::Add,
+                    d: 3,
+                    a: 0,
+                    b: Opd::Imm(1),
+                    exit: 0,
+                    wr: Some(0),
+                    loop_exit: None,
+                },
+                Cmp {
+                    op: CmpOp::Lt,
+                    double: false,
+                    d: None,
+                    a: 3,
+                    b: Opd::Reg(1),
+                    wr: None,
+                    guard: Some(Guard { want: true, exit: 1 }),
+                    loop_exit: Some(2),
+                },
             ]
         );
         assert_eq!(f.fuse_stats.raw_insts, 8);
@@ -482,10 +447,11 @@ mod tests {
             ],
             2,
         ));
+        let want_false = Some(Guard { want: false, exit: 0 });
         assert!(f
             .code
             .iter()
-            .any(|i| matches!(i, CmpBranchI { op: CmpOp::Eq, want: false, .. })));
+            .any(|i| matches!(i, Cmp { op: CmpOp::Eq, guard, .. } if *guard == want_false)));
     }
 
     #[test]
@@ -521,7 +487,7 @@ mod tests {
             1,
         ));
         assert!(f.code.iter().any(|i| matches!(i, ReadAr { .. })));
-        assert!(!f.code.iter().any(|i| matches!(i, AluArI { .. })));
+        assert!(!f.code.iter().any(|i| matches!(i, Alu { a: Opd::Ar(_), .. })));
 
         // Distinct operand: fuses, and the trailing WriteAr collapses
         // into the AR-to-AR write-through form.
@@ -539,7 +505,7 @@ mod tests {
             f.code,
             vec![
                 ReadAr { d: 1, slot: 1 },
-                AluArWrI { op: AluOp::Sub, d: 2, slot_a: 0, b: 1, slot_d: 1 },
+                Alu { op: AluOp::Sub, d: 2, a: Opd::Ar(0), b: Opd::Reg(1), wr: Some(1) },
                 End { exit: 0 },
             ]
         );
@@ -561,7 +527,7 @@ mod tests {
             f.code,
             vec![
                 ReadAr { d: 1, slot: 0 },
-                AluImmWrI { op: AluOp::Mul, d: 2, a: 1, imm: 7, slot: 0 },
+                Alu { op: AluOp::Mul, d: 2, a: Opd::Reg(1), b: Opd::Imm(7), wr: Some(0) },
                 End { exit: 0 },
             ]
         );
@@ -582,7 +548,7 @@ mod tests {
             1,
         ));
         assert!(f.code.iter().any(|i| matches!(i, ConstW { .. })));
-        assert!(!f.code.iter().any(|i| matches!(i, AluImmI { .. } | AluImmWrI { .. })));
+        assert!(!f.code.iter().any(|i| matches!(i, Alu { b: Opd::Imm(_), .. })));
     }
 
     #[test]
@@ -624,7 +590,16 @@ mod tests {
             vec![
                 ReadAr { d: 0, slot: 0 },
                 ReadAr { d: 1, slot: 1 },
-                CmpWrBranchI { op: CmpOp::Lt, want: true, d: 2, a: 0, b: 1, slot: 2, exit: 0 },
+                Cmp {
+                    op: CmpOp::Lt,
+                    double: false,
+                    d: Some(2),
+                    a: 0,
+                    b: Opd::Reg(1),
+                    wr: Some(2),
+                    guard: Some(Guard { want: true, exit: 0 }),
+                    loop_exit: None,
+                },
                 End { exit: 1 },
             ]
         );
@@ -650,7 +625,16 @@ mod tests {
             f.code,
             vec![
                 ReadAr { d: 0, slot: 0 },
-                CmpBranchImmI { op: CmpOp::Lt, want: true, a: 0, imm: 100, exit: 0 },
+                Cmp {
+                    op: CmpOp::Lt,
+                    double: false,
+                    d: None,
+                    a: 0,
+                    b: Opd::Imm(100),
+                    wr: None,
+                    guard: Some(Guard { want: true, exit: 0 }),
+                    loop_exit: None,
+                },
                 End { exit: 1 },
             ]
         );
@@ -671,14 +655,15 @@ mod tests {
             f.code,
             vec![
                 ReadAr { d: 0, slot: 0 },
-                CmpImmWrBranchI {
+                Cmp {
                     op: CmpOp::Gt,
-                    want: true,
-                    d: 2,
+                    double: false,
+                    d: Some(2),
                     a: 0,
-                    imm: 100,
-                    slot: 1,
-                    exit: 0,
+                    b: Opd::Imm(100),
+                    wr: Some(1),
+                    guard: Some(Guard { want: true, exit: 0 }),
+                    loop_exit: None,
                 },
                 End { exit: 1 },
             ]
@@ -705,7 +690,16 @@ mod tests {
             vec![
                 ReadAr { d: 0, slot: 0 },
                 ReadAr { d: 1, slot: 1 },
-                CmpBranchI { op: CmpOp::Eq, want: false, a: 0, b: 1, exit: 0 },
+                Cmp {
+                    op: CmpOp::Eq,
+                    double: false,
+                    d: None,
+                    a: 0,
+                    b: Opd::Reg(1),
+                    wr: None,
+                    guard: Some(Guard { want: false, exit: 0 }),
+                    loop_exit: None,
+                },
                 End { exit: 1 },
             ]
         );
@@ -734,7 +728,7 @@ mod tests {
         );
     }
 
-    /// Clusters of adjacent AR stores group into WriteAr2/WriteAr3.
+    /// Clusters of adjacent AR stores group into `WriteArN`s.
     #[test]
     fn adjacent_writear_cluster_groups() {
         let f = fuse(frag(
@@ -751,9 +745,9 @@ mod tests {
             ],
             1,
         ));
-        // The first three stores group into a WriteAr3; the fourth stays
-        // a lone WriteAr (grouping caps at three).
-        assert!(f.code.iter().any(|i| matches!(i, WriteAr3 { .. })));
+        // The first three stores group into one WriteArN; the fourth
+        // stays a lone WriteAr (grouping caps at three).
+        assert!(f.code.iter().any(|i| matches!(i, WriteArN { n: 3, .. })));
         assert_eq!(f.code.iter().filter(|i| matches!(i, WriteAr { .. })).count(), 1);
         assert_eq!(f.code.len(), 7, "9 raw -> 7 fused: {:?}", f.code);
     }
@@ -795,14 +789,14 @@ mod tests {
             f.code,
             vec![
                 ReadAr { d: 0, slot: 0 },
-                ChkAluImmWrLoopI {
+                Chk {
                     op: ChkOp::Add,
                     d: 2,
                     a: 0,
-                    imm: 1,
-                    slot: 0,
+                    b: Opd::Imm(1),
                     exit: 0,
-                    loop_exit: 1,
+                    wr: Some(0),
+                    loop_exit: Some(1),
                 },
             ]
         );
@@ -826,7 +820,15 @@ mod tests {
             f.code,
             vec![
                 ReadAr { d: 0, slot: 0 },
-                ChkAluImmWrI { op: ChkOp::Shl, d: 2, a: 0, imm: 2, exit: 0, slot: 0 },
+                Chk {
+                    op: ChkOp::Shl,
+                    d: 2,
+                    a: 0,
+                    b: Opd::Imm(2),
+                    exit: 0,
+                    wr: Some(0),
+                    loop_exit: None,
+                },
                 End { exit: 1 },
             ]
         );

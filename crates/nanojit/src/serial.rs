@@ -24,7 +24,9 @@
 //! Opcode bytes are part of the on-disk format: renumbering them is a
 //! format-version bump (see `docs/PERSISTENCE.md` §7).
 
-use crate::machinst::{ExitTarget, Fragment, FuseStats, MachInst, Reg, EXIT_UNSTITCHED};
+use crate::machinst::{
+    ExitTarget, Fragment, FuseStats, Guard, MachInst, Opd, Reg, EXIT_UNSTITCHED,
+};
 use tm_lir::{AluOp, ChkOp, CmpOp};
 use tm_runtime::{Helper, NativeId};
 use tm_support::binio::{BinError, ByteReader, ByteWriter};
@@ -99,6 +101,69 @@ impl Codec for Box<[Reg]> {
     }
     fn dec(r: &mut ByteReader) -> Result<Box<[Reg]>, BinError> {
         Ok(r.bytes_u32()?.into())
+    }
+}
+
+/// `None` is a `0` byte; `Some(v)` is a `1` byte followed by `v`.
+impl<T: Codec> Codec for Option<T> {
+    fn enc(&self, w: &mut ByteWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.enc(w);
+        }
+    }
+    fn dec(r: &mut ByteReader) -> Result<Option<T>, BinError> {
+        Ok(if r.bool()? { Some(T::dec(r)?) } else { None })
+    }
+}
+
+/// A kind byte (`0` register, `1` immediate, `2` AR slot), then the
+/// payload.
+impl Codec for Opd {
+    fn enc(&self, w: &mut ByteWriter) {
+        match *self {
+            Opd::Reg(x) => {
+                w.u8(0);
+                w.u8(x);
+            }
+            Opd::Imm(imm) => {
+                w.u8(1);
+                w.i32(imm);
+            }
+            Opd::Ar(slot) => {
+                w.u8(2);
+                w.u16(slot);
+            }
+        }
+    }
+    fn dec(r: &mut ByteReader) -> Result<Opd, BinError> {
+        let at = r.pos();
+        match r.u8()? {
+            0 => Ok(Opd::Reg(r.u8()?)),
+            1 => Ok(Opd::Imm(r.i32()?)),
+            2 => Ok(Opd::Ar(r.u16()?)),
+            t => Err(BinError::BadTag { at, tag: u64::from(t), what: "Opd" }),
+        }
+    }
+}
+
+impl Codec for Guard {
+    fn enc(&self, w: &mut ByteWriter) {
+        w.bool(self.want);
+        w.u16(self.exit);
+    }
+    fn dec(r: &mut ByteReader) -> Result<Guard, BinError> {
+        Ok(Guard { want: r.bool()?, exit: r.u16()? })
+    }
+}
+
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    fn enc(&self, w: &mut ByteWriter) {
+        self.iter().for_each(|v| v.enc(w));
+    }
+    fn dec(r: &mut ByteReader) -> Result<[T; N], BinError> {
+        let items: Vec<T> = (0..N).map(|_| T::dec(r)).collect::<Result<_, _>>()?;
+        Ok(items.try_into().ok().expect("decoded exactly N items"))
     }
 }
 
@@ -201,13 +266,11 @@ macro_rules! machinst_codec {
             }
         }
 
-        /// Decodes one instruction. Unknown opcodes and invalid enum
-        /// discriminants are [`BinError::BadTag`].
-        pub fn decode_inst(r: &mut ByteReader) -> Result<MachInst, BinError> {
-            let at = r.pos();
+        /// Decodes one instruction's opcode and fields.
+        fn decode_fields(r: &mut ByteReader, at: usize) -> Result<(u8, MachInst), BinError> {
             let op = r.u8()?;
             match op {
-                $( $op => Ok(MachInst::$name { $( $f: <$t as Codec>::dec(r)? ),* }), )*
+                $( $op => Ok((op, MachInst::$name { $( $f: <$t as Codec>::dec(r)? ),* })), )*
                 t => Err(BinError::BadTag { at, tag: u64::from(t), what: "MachInst opcode" }),
             }
         }
@@ -289,31 +352,37 @@ machinst_codec! {
     0x47 CallTree { tree: u32, exit: u16 }
     0x48 LoopBack { exit: u16 }
     0x49 End { exit: u16 }
-    0x4a CmpBranchI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 }
-    0x4b CmpBranchD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 }
-    0x4c CmpBranchLoopI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 }
-    0x4d CmpBranchLoopD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 }
-    0x4e AluImmI { op: AluOp, d: Reg, a: Reg, imm: i32 }
-    0x4f AluArI { op: AluOp, d: Reg, slot: u16, b: Reg }
-    0x50 AluWrI { op: AluOp, d: Reg, a: Reg, b: Reg, slot: u16 }
-    0x51 AluImmWrI { op: AluOp, d: Reg, a: Reg, imm: i32, slot: u16 }
-    0x52 ChkAluImmI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16 }
-    0x53 ChkAluWrI { op: ChkOp, d: Reg, a: Reg, b: Reg, exit: u16, slot: u16 }
-    0x54 ChkAluImmWrI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16, slot: u16 }
-    0x55 ChkAluImmWrLoopI { op: ChkOp, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16, loop_exit: u16 }
     0x56 ConstWrAr { d: Reg, w: u64, slot: u16 }
     0x57 MovAr { d: Reg, src: u16, dst: u16 }
-    0x58 WriteAr2 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg }
-    0x59 WriteAr3 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg, slot_c: u16, s_c: Reg }
-    0x5a AluArWrI { op: AluOp, d: Reg, slot_a: u16, b: Reg, slot_d: u16 }
-    0x5b CmpImmI { op: CmpOp, d: Reg, a: Reg, imm: i32 }
-    0x5c CmpWrI { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 }
-    0x5d CmpWrD { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 }
-    0x5e CmpImmWrI { op: CmpOp, d: Reg, a: Reg, imm: i32, slot: u16 }
-    0x5f CmpBranchImmI { op: CmpOp, want: bool, a: Reg, imm: i32, exit: u16 }
-    0x60 CmpWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 }
-    0x61 CmpWrBranchD { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 }
-    0x62 CmpImmWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16 }
+    0x63 Alu { op: AluOp, d: Reg, a: Opd, b: Opd, wr: Option<u16> }
+    0x64 Chk {
+        op: ChkOp, d: Reg, a: Reg, b: Opd, exit: u16, wr: Option<u16>, loop_exit: Option<u16>,
+    }
+    0x65 Cmp {
+        op: CmpOp, double: bool, d: Option<Reg>, a: Reg, b: Opd,
+        wr: Option<u16>, guard: Option<Guard>, loop_exit: Option<u16>,
+    }
+    0x66 WriteArN { n: u8, slots: [u16; 3], srcs: [Reg; 3] }
+}
+
+/// Decodes one instruction. Unknown opcodes and invalid enum
+/// discriminants are [`BinError::BadTag`], and so is a fused form without
+/// one meaning: an `Alu`/`Chk`/`Cmp` that folds nothing (a second
+/// spelling of a raw instruction), a `WriteArN` of fewer than two or more
+/// than three stores, or a double compare against a folded operand.
+pub fn decode_inst(r: &mut ByteReader) -> Result<MachInst, BinError> {
+    let at = r.pos();
+    let (op, inst) = decode_fields(r, at)?;
+    let well_formed = match inst {
+        MachInst::Alu { .. } | MachInst::Chk { .. } => inst.is_fused(),
+        MachInst::Cmp { double, b, .. } => inst.is_fused() && !(double && b.is_folded()),
+        MachInst::WriteArN { n, .. } => (2..=3).contains(&n),
+        _ => true,
+    };
+    if !well_formed {
+        return Err(BinError::BadTag { at, tag: u64::from(op), what: "fused MachInst form" });
+    }
+    Ok(inst)
 }
 
 /// Appends the encoded form of `frag` to `w` (PERSISTENCE.md §4:
@@ -411,14 +480,40 @@ mod tests {
                 exit: 0,
             },
             CallTree { tree: 17, exit: 5 },
-            CmpBranchLoopD { op: CmpOp::Lt, want: true, a: 0, b: 1, exit: 2, loop_exit: 3 },
-            AluImmI { op: AluOp::Xor, d: 0, a: 1, imm: -123 },
-            ChkAluImmWrLoopI { op: ChkOp::Add, d: 0, a: 0, imm: 1, slot: 4, exit: 1, loop_exit: 2 },
+            Cmp {
+                op: CmpOp::Lt,
+                double: true,
+                d: None,
+                a: 0,
+                b: Opd::Reg(1),
+                wr: None,
+                guard: Some(Guard { want: true, exit: 2 }),
+                loop_exit: Some(3),
+            },
+            Alu { op: AluOp::Xor, d: 0, a: Opd::Reg(1), b: Opd::Imm(-123), wr: None },
+            Chk {
+                op: ChkOp::Add,
+                d: 0,
+                a: 0,
+                b: Opd::Imm(1),
+                exit: 1,
+                wr: Some(4),
+                loop_exit: Some(2),
+            },
             ConstWrAr { d: 2, w: 0x3ff0_0000_0000_0000, slot: 9 },
             MovAr { d: 1, src: 3, dst: 4 },
-            WriteAr3 { slot_a: 0, s_a: 1, slot_b: 2, s_b: 3, slot_c: 4, s_c: 5 },
-            AluArWrI { op: AluOp::UShr, d: 1, slot_a: 2, b: 3, slot_d: 4 },
-            CmpImmWrBranchI { op: CmpOp::Ge, want: false, d: 0, a: 1, imm: 100, slot: 2, exit: 3 },
+            WriteArN { n: 3, slots: [0, 2, 4], srcs: [1, 3, 5] },
+            Alu { op: AluOp::UShr, d: 1, a: Opd::Ar(2), b: Opd::Reg(3), wr: Some(4) },
+            Cmp {
+                op: CmpOp::Ge,
+                double: false,
+                d: Some(0),
+                a: 1,
+                b: Opd::Imm(100),
+                wr: Some(2),
+                guard: Some(Guard { want: false, exit: 3 }),
+                loop_exit: None,
+            },
             End { exit: 0 },
         ]
     }
@@ -476,8 +571,8 @@ mod tests {
 
     #[test]
     fn bad_enum_discriminants_rejected() {
-        // CmpBranchI with an out-of-range CmpOp.
-        let mut r = ByteReader::new(&[0x4a, 0x09]);
+        // Cmp with an out-of-range CmpOp.
+        let mut r = ByteReader::new(&[0x65, 0x09]);
         assert!(matches!(decode_inst(&mut r), Err(BinError::BadTag { what: "CmpOp", .. })));
         // CallHelper with an unknown helper index (77 is past the table,
         // not the CallNative escape).
@@ -488,6 +583,45 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert!(matches!(decode_inst(&mut r), Err(BinError::BadTag { what: "Helper", .. })));
+    }
+
+    /// Fused forms without one meaning are rejected: no second spelling
+    /// of a raw instruction, no grouped store of fewer than two or more
+    /// than three stores, and no double compare against a folded operand.
+    #[test]
+    fn fused_forms_without_one_meaning_rejected() {
+        use MachInst::*;
+        let cmp = |double, d, b, guard| Cmp {
+            op: CmpOp::Lt,
+            double,
+            d,
+            a: 0,
+            b,
+            wr: None,
+            guard,
+            loop_exit: None,
+        };
+        let guard = Some(Guard { want: true, exit: 0 });
+        for inst in [
+            Alu { op: AluOp::Add, d: 0, a: Opd::Reg(1), b: Opd::Reg(2), wr: None },
+            Chk { op: ChkOp::Add, d: 0, a: 1, b: Opd::Reg(2), exit: 0, wr: None, loop_exit: None },
+            cmp(false, Some(2), Opd::Reg(1), None),
+            cmp(true, None, Opd::Imm(1), guard),
+            cmp(true, Some(2), Opd::Ar(1), None),
+            WriteArN { n: 1, slots: [0; 3], srcs: [0; 3] },
+            WriteArN { n: 4, slots: [0; 3], srcs: [0; 3] },
+        ] {
+            let mut w = ByteWriter::new();
+            encode_inst(&inst, &mut w);
+            let bytes = w.into_bytes();
+            assert!(
+                matches!(
+                    decode_inst(&mut ByteReader::new(&bytes)),
+                    Err(BinError::BadTag { at: 0, what: "fused MachInst form", .. })
+                ),
+                "{inst:?} decoded"
+            );
+        }
     }
 
     #[test]

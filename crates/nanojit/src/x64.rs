@@ -88,7 +88,9 @@ mod imp {
 
     use super::{unsupported_op, Unsupported, MAX_HELPER_ARGS};
     use crate::executor::{TraceExit, TreeHost};
-    use crate::machinst::{Fragment, MachInst, Reg, EXIT_UNSTITCHED, REG_FILE_WORDS, REG_MASK};
+    use crate::machinst::{
+        Fragment, MachInst, Opd, Reg, EXIT_UNSTITCHED, REG_FILE_WORDS, REG_MASK,
+    };
 
     /// Whether this build can emit and run native code.
     pub fn native_supported() -> bool {
@@ -930,6 +932,15 @@ mod imp {
         i32::from(slot) * 8
     }
 
+    /// The register operand of a double compare. The `.tmc` codec rejects
+    /// any other operand and the peephole never forms one.
+    fn double_operand(b: Opd) -> Reg {
+        match b {
+            Opd::Reg(b) => b,
+            _ => unreachable!("double compare against a folded operand {b:?}"),
+        }
+    }
+
     /// Integer compare condition code for a signed 32-bit `cmp a, b`.
     fn int_cc(op: CmpOp) -> u8 {
         match op {
@@ -1013,6 +1024,25 @@ mod imp {
             self.asm.mov_mem_r64(R14, ar_disp(slot), gpr);
         }
 
+        /// `gpr = opd` (32 bits, zero-extended): a register, AR slot or
+        /// immediate operand of a fused form.
+        fn load_opd32(&mut self, gpr: u8, o: Opd) {
+            match o {
+                Opd::Reg(v) => self.load_vreg32(gpr, v),
+                Opd::Ar(slot) => self.load_ar32(gpr, slot),
+                Opd::Imm(imm) => self.asm.mov_r32_imm(gpr, imm as u32),
+            }
+        }
+
+        /// `gpr = i64::from(i32_from_word(opd))`.
+        fn load_opd_sx(&mut self, gpr: u8, o: Opd) {
+            match o {
+                Opd::Reg(v) => self.movsxd_vreg(gpr, v),
+                Opd::Ar(slot) => self.asm.movsxd_r64_mem(gpr, R14, ar_disp(slot)),
+                Opd::Imm(imm) => self.asm.mov_r64_imm32(gpr, imm),
+            }
+        }
+
         /// Materializes word `w` into `gpr` with the shortest encoding.
         fn const_word(&mut self, gpr: u8, w: u64) {
             if let Ok(u) = u32::try_from(w) {
@@ -1081,80 +1111,41 @@ mod imp {
             self.asm.movsxd_r64_r32(RAX, RAX);
         }
 
-        /// Checked ALU, register-register: result in rax (sign-extended,
-        /// range-checked); exits to `site` per `chk_alu_i`. Clobbers
-        /// rcx/rdx/rsi.
-        fn chk_alu_rr(&mut self, op: ChkOp, a: Reg, b: Reg, site: Label) {
+        /// Checked ALU: result in rax (sign-extended, range-checked);
+        /// exits to `site` per `chk_alu_i`. Clobbers rcx/rdx/rsi.
+        fn chk_alu(&mut self, op: ChkOp, a: Reg, b: Opd, site: Label) {
+            let imm = match b {
+                Opd::Imm(imm) => Some(imm),
+                _ => None,
+            };
             match op {
-                ChkOp::Add => {
+                ChkOp::Add | ChkOp::Sub => {
+                    let (ext, opc) = if op == ChkOp::Add { (0, 0x01) } else { (5, 0x29) };
                     self.movsxd_vreg(RAX, a);
-                    self.movsxd_vreg(RCX, b);
-                    self.asm.alu_rr64(0x01, RAX, RCX);
-                    self.range_check_i31(site);
-                }
-                ChkOp::Sub => {
-                    self.movsxd_vreg(RAX, a);
-                    self.movsxd_vreg(RCX, b);
-                    self.asm.alu_rr64(0x29, RAX, RCX);
+                    if let Some(imm) = imm {
+                        self.asm.alu_r64_imm32(ext, RAX, imm);
+                    } else {
+                        self.load_opd_sx(RCX, b);
+                        self.asm.alu_rr64(opc, RAX, RCX);
+                    }
                     self.range_check_i31(site);
                 }
                 ChkOp::Mul => {
                     self.movsxd_vreg(RAX, a);
-                    self.movsxd_vreg(RCX, b);
+                    if imm.is_none() {
+                        self.load_opd_sx(RCX, b);
+                    }
                     // Save x: a -0 result (res == 0 with a negative
                     // factor) must exit to the double path.
                     self.asm.mov_rr64(RSI, RAX);
-                    self.asm.imul_rr64(RAX, RCX);
-                    let l_range = self.local();
-                    self.asm.test_rr64(RAX, RAX);
-                    self.asm.jcc(CC_NE, l_range);
-                    self.asm.test_rr64(RSI, RSI);
-                    self.asm.jcc(CC_S, site);
-                    self.asm.test_rr64(RCX, RCX);
-                    self.asm.jcc(CC_S, site);
-                    self.asm.bind(l_range);
-                    self.range_check_i31(site);
-                }
-                ChkOp::Shl => {
-                    self.load_vreg32(RCX, b);
-                    self.load_vreg32(RAX, a);
-                    self.asm.shift_cl32(4, RAX);
-                    self.asm.movsxd_r64_r32(RAX, RAX);
-                    self.range_check_i31(site);
-                }
-                ChkOp::UShr => {
-                    self.load_vreg32(RCX, b);
-                    self.load_vreg32(RAX, a);
-                    self.asm.shift_cl32(5, RAX);
-                    // Unsigned result: exit when above INT_MAX; the
-                    // stored word is the zero-extended u32.
-                    self.asm.cmp_r32_imm32(RAX, 0x3FFF_FFFF);
-                    self.asm.jcc(CC_A, site);
-                }
-            }
-        }
-
-        /// Checked ALU with an immediate operand; result in rax.
-        fn chk_alu_imm(&mut self, op: ChkOp, a: Reg, imm: i32, site: Label) {
-            match op {
-                ChkOp::Add => {
-                    self.movsxd_vreg(RAX, a);
-                    self.asm.alu_r64_imm32(0, RAX, imm);
-                    self.range_check_i31(site);
-                }
-                ChkOp::Sub => {
-                    self.movsxd_vreg(RAX, a);
-                    self.asm.alu_r64_imm32(5, RAX, imm);
-                    self.range_check_i31(site);
-                }
-                ChkOp::Mul => {
-                    self.movsxd_vreg(RAX, a);
-                    self.asm.mov_rr64(RSI, RAX);
-                    self.asm.imul_r64_imm32(RAX, RAX, imm);
-                    // -0 check, constant-folded on the immediate's sign:
-                    // imm < 0 makes any zero result a -0 candidate;
-                    // imm >= 0 needs x < 0 as well.
-                    if imm < 0 {
+                    match imm {
+                        Some(imm) => self.asm.imul_r64_imm32(RAX, RAX, imm),
+                        None => self.asm.imul_rr64(RAX, RCX),
+                    }
+                    // An immediate constant-folds the -0 check on its sign:
+                    // imm < 0 makes any zero result a -0 candidate; imm >= 0
+                    // needs x < 0 as well.
+                    if imm.is_some_and(|imm| imm < 0) {
                         self.asm.test_rr64(RAX, RAX);
                         self.asm.jcc(CC_E, site);
                     } else {
@@ -1163,21 +1154,33 @@ mod imp {
                         self.asm.jcc(CC_NE, l_range);
                         self.asm.test_rr64(RSI, RSI);
                         self.asm.jcc(CC_S, site);
+                        if imm.is_none() {
+                            self.asm.test_rr64(RCX, RCX);
+                            self.asm.jcc(CC_S, site);
+                        }
                         self.asm.bind(l_range);
                     }
                     self.range_check_i31(site);
                 }
-                ChkOp::Shl => {
-                    self.load_vreg32(RAX, a);
-                    self.asm.shift_imm32(4, RAX, (imm & 31) as u8);
-                    self.asm.movsxd_r64_r32(RAX, RAX);
-                    self.range_check_i31(site);
-                }
-                ChkOp::UShr => {
-                    self.load_vreg32(RAX, a);
-                    self.asm.shift_imm32(5, RAX, (imm & 31) as u8);
-                    self.asm.cmp_r32_imm32(RAX, 0x3FFF_FFFF);
-                    self.asm.jcc(CC_A, site);
+                ChkOp::Shl | ChkOp::UShr => {
+                    let ext = if op == ChkOp::Shl { 4 } else { 5 };
+                    if let Some(imm) = imm {
+                        self.load_vreg32(RAX, a);
+                        self.asm.shift_imm32(ext, RAX, (imm & 31) as u8);
+                    } else {
+                        self.load_opd32(RCX, b);
+                        self.load_vreg32(RAX, a);
+                        self.asm.shift_cl32(ext, RAX);
+                    }
+                    if op == ChkOp::Shl {
+                        self.asm.movsxd_r64_r32(RAX, RAX);
+                        self.range_check_i31(site);
+                    } else {
+                        // Unsigned result: exit when above INT_MAX; the
+                        // stored word is the zero-extended u32.
+                        self.asm.cmp_r32_imm32(RAX, 0x3FFF_FFFF);
+                        self.asm.jcc(CC_A, site);
+                    }
                 }
             }
         }
@@ -1253,21 +1256,24 @@ mod imp {
             }
         }
 
-        /// `eax = cmp_i(op, a, b) as u64` with `b` preloaded into ecx.
-        fn cmp_i_set_rr(&mut self, op: CmpOp, a: Reg, b: Reg) {
+        /// Sets flags for the signed 32-bit `cmp a, b`.
+        fn cmp_i_flags(&mut self, a: Reg, b: Opd) {
             self.load_vreg32(RAX, a);
-            self.load_vreg32(RCX, b);
-            self.asm.cmp_rr32(RAX, RCX);
-            let cc = int_cc(op);
-            self.asm.setcc(cc, RAX);
-            self.asm.movzx_r32_r8(RAX, RAX);
+            if let Opd::Imm(imm) = b {
+                self.asm.cmp_r32_imm32(RAX, imm);
+            } else {
+                self.load_opd32(RCX, b);
+                self.asm.cmp_rr32(RAX, RCX);
+            }
         }
 
-        fn cmp_i_set_imm(&mut self, op: CmpOp, a: Reg, imm: i32) {
-            self.load_vreg32(RAX, a);
-            self.asm.cmp_r32_imm32(RAX, imm);
-            let cc = int_cc(op);
-            self.asm.setcc(cc, RAX);
+        /// `eax = cmp(op, a, b) as u64` (i32, or f64 when `double`).
+        fn cmp_set(&mut self, op: CmpOp, double: bool, a: Reg, b: Opd) {
+            if double {
+                return self.cmp_d_set(op, a, double_operand(b));
+            }
+            self.cmp_i_flags(a, b);
+            self.asm.setcc(int_cc(op), RAX);
             self.asm.movzx_r32_r8(RAX, RAX);
         }
 
@@ -1357,29 +1363,20 @@ mod imp {
                     self.store_vreg64(d, RAX);
                 }
 
-                MachInst::AddIChk { d, a, b, exit } => {
+                MachInst::AddIChk { d, a, b, exit }
+                | MachInst::SubIChk { d, a, b, exit }
+                | MachInst::MulIChk { d, a, b, exit }
+                | MachInst::ShlIChk { d, a, b, exit }
+                | MachInst::UShrIChk { d, a, b, exit } => {
+                    let op = match inst {
+                        MachInst::AddIChk { .. } => ChkOp::Add,
+                        MachInst::SubIChk { .. } => ChkOp::Sub,
+                        MachInst::MulIChk { .. } => ChkOp::Mul,
+                        MachInst::ShlIChk { .. } => ChkOp::Shl,
+                        _ => ChkOp::UShr,
+                    };
                     let site = self.site(k, exit, path);
-                    self.chk_alu_rr(ChkOp::Add, a, b, site);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::SubIChk { d, a, b, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.chk_alu_rr(ChkOp::Sub, a, b, site);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::MulIChk { d, a, b, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.chk_alu_rr(ChkOp::Mul, a, b, site);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::ShlIChk { d, a, b, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.chk_alu_rr(ChkOp::Shl, a, b, site);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::UShrIChk { d, a, b, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.chk_alu_rr(ChkOp::UShr, a, b, site);
+                    self.chk_alu(op, a, Opd::Reg(b), site);
                     self.store_vreg64(d, RAX);
                 }
                 MachInst::NegIChk { d, a, exit } => {
@@ -1462,7 +1459,7 @@ mod imp {
                         MachInst::GtI { .. } => CmpOp::Gt,
                         _ => CmpOp::Ge,
                     };
-                    self.cmp_i_set_rr(op, a, b);
+                    self.cmp_set(op, false, a, Opd::Reg(b));
                     self.store_vreg64(d, RAX);
                 }
                 MachInst::EqD { d, a, b }
@@ -1700,79 +1697,70 @@ mod imp {
                 }
 
                 // ----- fused superinstructions -----
-                MachInst::CmpBranchI { op, want, a, b, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.load_vreg32(RAX, a);
-                    self.load_vreg32(RCX, b);
-                    self.asm.cmp_rr32(RAX, RCX);
-                    let cc = int_cc(op);
-                    self.asm.jcc(if want { cc ^ 1 } else { cc }, site);
-                }
-                MachInst::CmpBranchD { op, want, a, b, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.cmp_d_branch(op, want, a, b, site);
-                }
-                MachInst::CmpBranchLoopI { op, want, a, b, exit, loop_exit } => {
-                    let site = self.site(k, exit, path);
-                    self.load_vreg32(RAX, a);
-                    self.load_vreg32(RCX, b);
-                    self.asm.cmp_rr32(RAX, RCX);
-                    let cc = int_cc(op);
-                    self.asm.jcc(if want { cc ^ 1 } else { cc }, site);
-                    self.loop_edge(k, loop_exit, path);
-                }
-                MachInst::CmpBranchLoopD { op, want, a, b, exit, loop_exit } => {
-                    let site = self.site(k, exit, path);
-                    self.cmp_d_branch(op, want, a, b, site);
-                    self.loop_edge(k, loop_exit, path);
-                }
-                MachInst::AluImmI { op, d, a, imm } => {
-                    self.load_vreg32(RAX, a);
-                    self.alu_i_imm(op, imm);
+                MachInst::Alu { op, d, a, b, wr } => {
+                    if let Opd::Imm(imm) = b {
+                        self.load_opd32(RAX, a);
+                        self.alu_i_imm(op, imm);
+                    } else {
+                        self.load_opd32(RCX, b);
+                        self.load_opd32(RAX, a);
+                        self.alu_i_rr(op);
+                    }
                     self.store_vreg64(d, RAX);
+                    if let Some(slot) = wr {
+                        self.store_ar64(slot, RAX);
+                    }
                 }
-                MachInst::AluArI { op, d, slot, b } => {
-                    self.load_vreg32(RCX, b);
-                    self.load_ar32(RAX, slot);
-                    self.alu_i_rr(op);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::AluWrI { op, d, a, b, slot } => {
-                    self.load_vreg32(RCX, b);
-                    self.load_vreg32(RAX, a);
-                    self.alu_i_rr(op);
-                    self.store_vreg64(d, RAX);
-                    self.store_ar64(slot, RAX);
-                }
-                MachInst::AluImmWrI { op, d, a, imm, slot } => {
-                    self.load_vreg32(RAX, a);
-                    self.alu_i_imm(op, imm);
-                    self.store_vreg64(d, RAX);
-                    self.store_ar64(slot, RAX);
-                }
-                MachInst::ChkAluImmI { op, d, a, imm, exit } => {
+                MachInst::Chk { op, d, a, b, exit, wr, loop_exit } => {
                     let site = self.site(k, exit, path);
-                    self.chk_alu_imm(op, a, imm, site);
+                    self.chk_alu(op, a, b, site);
                     self.store_vreg64(d, RAX);
+                    if let Some(slot) = wr {
+                        self.store_ar64(slot, RAX);
+                    }
+                    if let Some(loop_exit) = loop_exit {
+                        self.loop_edge(k, loop_exit, path);
+                    }
                 }
-                MachInst::ChkAluWrI { op, d, a, b, exit, slot } => {
-                    let site = self.site(k, exit, path);
-                    self.chk_alu_rr(op, a, b, site);
-                    self.store_vreg64(d, RAX);
-                    self.store_ar64(slot, RAX);
+                MachInst::Cmp { op, double, d, a, b, wr, guard, loop_exit } => {
+                    let site = guard.map(|g| (g.want, self.site(k, g.exit, path)));
+                    if d.is_some() || wr.is_some() {
+                        // The 0/1 result is kept: materialize and store it,
+                        // then test it (the stores precede the exit check).
+                        self.cmp_set(op, double, a, b);
+                        if let Some(d) = d {
+                            self.store_vreg64(d, RAX);
+                        }
+                        if let Some(slot) = wr {
+                            self.store_ar64(slot, RAX);
+                        }
+                        if let Some((want, site)) = site {
+                            self.asm.test_rr32(RAX, RAX);
+                            self.asm.jcc(if want { CC_E } else { CC_NE }, site);
+                        }
+                    } else if double {
+                        // Result dead: branch on the flags directly.
+                        let b = double_operand(b);
+                        match site {
+                            Some((want, site)) => self.cmp_d_branch(op, want, a, b, site),
+                            None => _ = self.cmp_d_flags(op, a, b),
+                        }
+                    } else {
+                        self.cmp_i_flags(a, b);
+                        if let Some((want, site)) = site {
+                            let cc = int_cc(op);
+                            self.asm.jcc(if want { cc ^ 1 } else { cc }, site);
+                        }
+                    }
+                    if let Some(loop_exit) = loop_exit {
+                        self.loop_edge(k, loop_exit, path);
+                    }
                 }
-                MachInst::ChkAluImmWrI { op, d, a, imm, exit, slot } => {
-                    let site = self.site(k, exit, path);
-                    self.chk_alu_imm(op, a, imm, site);
-                    self.store_vreg64(d, RAX);
-                    self.store_ar64(slot, RAX);
-                }
-                MachInst::ChkAluImmWrLoopI { op, d, a, imm, slot, exit, loop_exit } => {
-                    let site = self.site(k, exit, path);
-                    self.chk_alu_imm(op, a, imm, site);
-                    self.store_vreg64(d, RAX);
-                    self.store_ar64(slot, RAX);
-                    self.loop_edge(k, loop_exit, path);
+                MachInst::WriteArN { n, slots, srcs } => {
+                    for (&slot, &s) in slots.iter().zip(&srcs).take(usize::from(n)) {
+                        self.load_vreg64(RAX, s);
+                        self.store_ar64(slot, RAX);
+                    }
                 }
                 MachInst::ConstWrAr { d, w, slot } => {
                     self.const_word(RAX, w);
@@ -1783,77 +1771,6 @@ mod imp {
                     self.load_ar64(RAX, src);
                     self.store_vreg64(d, RAX);
                     self.store_ar64(dst, RAX);
-                }
-                MachInst::WriteAr2 { slot_a, s_a, slot_b, s_b } => {
-                    self.load_vreg64(RAX, s_a);
-                    self.store_ar64(slot_a, RAX);
-                    self.load_vreg64(RAX, s_b);
-                    self.store_ar64(slot_b, RAX);
-                }
-                MachInst::WriteAr3 { slot_a, s_a, slot_b, s_b, slot_c, s_c } => {
-                    self.load_vreg64(RAX, s_a);
-                    self.store_ar64(slot_a, RAX);
-                    self.load_vreg64(RAX, s_b);
-                    self.store_ar64(slot_b, RAX);
-                    self.load_vreg64(RAX, s_c);
-                    self.store_ar64(slot_c, RAX);
-                }
-                MachInst::AluArWrI { op, d, slot_a, b, slot_d } => {
-                    self.load_vreg32(RCX, b);
-                    self.load_ar32(RAX, slot_a);
-                    self.alu_i_rr(op);
-                    self.store_vreg64(d, RAX);
-                    self.store_ar64(slot_d, RAX);
-                }
-                MachInst::CmpImmI { op, d, a, imm } => {
-                    self.cmp_i_set_imm(op, a, imm);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::CmpWrI { op, d, a, b, slot } => {
-                    self.cmp_i_set_rr(op, a, b);
-                    self.store_vreg64(d, RAX);
-                    self.store_ar64(slot, RAX);
-                }
-                MachInst::CmpWrD { op, d, a, b, slot } => {
-                    self.cmp_d_set(op, a, b);
-                    self.store_vreg64(d, RAX);
-                    self.store_ar64(slot, RAX);
-                }
-                MachInst::CmpImmWrI { op, d, a, imm, slot } => {
-                    self.cmp_i_set_imm(op, a, imm);
-                    self.store_vreg64(d, RAX);
-                    self.store_ar64(slot, RAX);
-                }
-                MachInst::CmpBranchImmI { op, want, a, imm, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.load_vreg32(RAX, a);
-                    self.asm.cmp_r32_imm32(RAX, imm);
-                    let cc = int_cc(op);
-                    self.asm.jcc(if want { cc ^ 1 } else { cc }, site);
-                }
-                MachInst::CmpWrBranchI { op, want, d, a, b, slot, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.cmp_i_set_rr(op, a, b);
-                    self.store_vreg64(d, RAX);
-                    self.store_ar64(slot, RAX);
-                    self.asm.test_rr32(RAX, RAX);
-                    self.asm.jcc(if want { CC_E } else { CC_NE }, site);
-                }
-                MachInst::CmpWrBranchD { op, want, d, a, b, slot, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.cmp_d_set(op, a, b);
-                    self.store_vreg64(d, RAX);
-                    self.store_ar64(slot, RAX);
-                    self.asm.test_rr32(RAX, RAX);
-                    self.asm.jcc(if want { CC_E } else { CC_NE }, site);
-                }
-                MachInst::CmpImmWrBranchI { op, want, d, a, imm, slot, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.cmp_i_set_imm(op, a, imm);
-                    self.store_vreg64(d, RAX);
-                    self.store_ar64(slot, RAX);
-                    self.asm.test_rr32(RAX, RAX);
-                    self.asm.jcc(if want { CC_E } else { CC_NE }, site);
                 }
 
                 // -- heap-walking ops: realm in rdi, operands in
@@ -2351,7 +2268,7 @@ mod tests {
     use super::{emit_tree, native_supported, unsupported_op, MAX_HELPER_ARGS};
     use crate::assembler::assemble;
     use crate::executor::{execute, NoNesting, TraceExit, TreeHost};
-    use crate::machinst::{ExitTarget, Fragment, MachInst};
+    use crate::machinst::{ExitTarget, Fragment, Guard, MachInst, Opd};
     use crate::peephole::fuse;
 
     /// Runs `fragments` through the decoded executor and the native
@@ -2722,7 +2639,7 @@ mod tests {
                 MachInst::WriteAr { slot: 1, s: 2 },
                 MachInst::ConstW { d: 3, w: u64::from(u32::MAX) },
                 MachInst::ConstW { d: 4, w: 0xFFFF_FFFF_FFFF_FFFF },
-                MachInst::WriteAr2 { slot_a: 2, s_a: 3, slot_b: 3, s_b: 4 },
+                MachInst::WriteArN { n: 2, slots: [2, 3, 0], srcs: [3, 4, 0] },
                 MachInst::End { exit: 0 },
             ],
             4,
@@ -2732,10 +2649,179 @@ mod tests {
         run_both(&[fr], &[0, 0, 0, 0], 0, u64::MAX);
     }
 
+    /// Edge operands for the fused-form differential, as register values
+    /// and as immediates: zero and small values, shift counts around 31,
+    /// the 31-bit boxing range's boundaries and one past them, and
+    /// overflow corners for `+`, `-` and `*` near INT_MIN and INT_MAX.
+    const EDGES: &[i32] = &[
+        0, 1, -1, 2, -2, 3, -3, 4, 5, -5, 6, 9, -17, -20, 29, 31, 32, 33, 40, 1000, 46341,
+        -46341, 0x2000_0000, 0x3FFF_FFFF, -0x4000_0000, 0x4000_0000, -0x4000_0001,
+        i32::MAX - 3, i32::MAX, i32::MIN + 3, i32::MIN,
+    ];
+
+    const DOUBLE_EDGES: &[f64] = &[
+        0.0, -0.0, 1.0, 1.5, -2.0, 2.5, 0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300,
+        -1e300, 1073741824.0, -1073741825.0,
+    ];
+
+    const ALU_OPS: [AluOp; 9] = [
+        AluOp::Add, AluOp::Sub, AluOp::Mul, AluOp::And, AluOp::Or, AluOp::Xor, AluOp::Shl,
+        AluOp::Shr, AluOp::UShr,
+    ];
+    const CHK_OPS: [ChkOp; 5] = [ChkOp::Add, ChkOp::Sub, ChkOp::Mul, ChkOp::Shl, ChkOp::UShr];
+    const CMP_OPS: [CmpOp; 5] = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+
+    /// Every fused combination the peephole forms, over every op, want,
+    /// and edge immediate. Operands: `a` = r0 (or AR slot 0), `b` = r1
+    /// (or an immediate); results go to r2 and AR slot 0 (so a loop tail
+    /// counts); guards and checks exit via 1, loop edges via 2.
+    fn fused_forms() -> Vec<MachInst> {
+        use MachInst::{Alu, Chk, Cmp};
+        let imms = || EDGES.iter().map(|&i| Opd::Imm(i));
+        let guards = [Some(Guard { want: true, exit: 1 }), Some(Guard { want: false, exit: 1 })];
+        let mut forms = Vec::new();
+        for op in ALU_OPS {
+            for b in imms() {
+                forms.push(Alu { op, d: 2, a: Opd::Reg(0), b, wr: None });
+                forms.push(Alu { op, d: 2, a: Opd::Reg(0), b, wr: Some(0) });
+            }
+            forms.push(Alu { op, d: 2, a: Opd::Reg(0), b: Opd::Reg(1), wr: Some(0) });
+            forms.push(Alu { op, d: 2, a: Opd::Ar(0), b: Opd::Reg(1), wr: None });
+            forms.push(Alu { op, d: 2, a: Opd::Ar(0), b: Opd::Reg(1), wr: Some(0) });
+        }
+        for op in CHK_OPS {
+            let chk = |b, wr, loop_exit| Chk { op, d: 2, a: 0, b, exit: 1, wr, loop_exit };
+            for b in imms() {
+                forms.push(chk(b, None, None));
+                forms.push(chk(b, Some(0), None));
+                forms.push(chk(b, Some(0), Some(2)));
+            }
+            forms.push(chk(Opd::Reg(1), Some(0), None));
+        }
+        for op in CMP_OPS {
+            for double in [false, true] {
+                let cmp = |d, b, wr, guard, loop_exit| Cmp {
+                    op,
+                    double,
+                    d,
+                    a: 0,
+                    b,
+                    wr,
+                    guard,
+                    loop_exit,
+                };
+                let r1 = Opd::Reg(1);
+                forms.push(cmp(Some(2), r1, Some(0), None, None));
+                for guard in guards {
+                    forms.push(cmp(None, r1, None, guard, None));
+                    forms.push(cmp(None, r1, None, guard, Some(2)));
+                    forms.push(cmp(Some(2), r1, Some(0), guard, None));
+                }
+                if double {
+                    continue;
+                }
+                for b in imms() {
+                    forms.push(cmp(Some(2), b, None, None, None));
+                    forms.push(cmp(Some(2), b, Some(0), None, None));
+                    for guard in guards {
+                        forms.push(cmp(None, b, None, guard, None));
+                        forms.push(cmp(Some(2), b, Some(0), guard, None));
+                    }
+                }
+            }
+        }
+        forms
+    }
+
+    /// Emits `tree` once and runs it on both tiers for each AR input,
+    /// asserting identical ARs and exit records (every counter included).
+    fn differential(tree: &[Fragment], inputs: &[Vec<u64>], fuel: u64) {
+        let nt = emit_tree(tree).expect("native emission failed");
+        let (mut realm_dec, mut realm_nat) = (Realm::new(), Realm::new());
+        for input in inputs {
+            let mut ar_dec = input.clone();
+            let dec = execute(tree, 0, &mut ar_dec, &mut realm_dec, &mut NoNesting, fuel)
+                .expect("decoded execution failed");
+            let mut ar_nat = input.clone();
+            let nat = nt
+                .execute(0, &mut ar_nat, &mut realm_nat, &mut NoNesting, fuel)
+                .expect("native execution failed");
+            assert_eq!((dec, &ar_dec), (nat, &ar_nat), "{:?} on {input:?}", tree[0].code);
+        }
+    }
+
+    /// Native vs decoded over every fused combination the peephole forms
+    /// (see [`fused_forms`]), every op and want, and every pair of edge
+    /// operands: register forms see all `(a, b)` pairs, immediate forms
+    /// every `a` against each immediate. Loop-edge forms run until their
+    /// guard, overflow check or the fuel budget exits.
     #[test]
-    fn fused_forms_differential() {
-        // Exercise every fused form the LIR pipeline emits by building a
-        // real counting loop and fusing it (mirrors executor tests).
+    fn fused_forms_match_decoded() {
+        let ints: Vec<Vec<u64>> = EDGES
+            .iter()
+            .flat_map(|&x| EDGES.iter().map(move |&y| vec![w(x), w(y), 0, 0]))
+            .collect();
+        let doubles: Vec<Vec<u64>> = DOUBLE_EDGES
+            .iter()
+            .flat_map(|&x| DOUBLE_EDGES.iter().map(move |&y| vec![d(x), d(y), 0, 0]))
+            .collect();
+        let singles: Vec<Vec<u64>> = EDGES.iter().map(|&x| vec![w(x), 0, 0, 0]).collect();
+        for form in fused_forms() {
+            let mut code =
+                vec![MachInst::ReadAr { d: 0, slot: 0 }, MachInst::ReadAr { d: 1, slot: 1 }];
+            let observed = form.dest();
+            let terminator = form.is_terminator();
+            let inputs = match form {
+                MachInst::Cmp { double: true, .. } => &doubles,
+                MachInst::Alu { b: Opd::Imm(_), .. }
+                | MachInst::Chk { b: Opd::Imm(_), .. }
+                | MachInst::Cmp { b: Opd::Imm(_), .. } => &singles,
+                _ => &ints,
+            };
+            code.push(form);
+            if !terminator {
+                if let Some(r) = observed {
+                    code.push(MachInst::WriteAr { slot: 3, s: r });
+                }
+                code.push(MachInst::End { exit: 0 });
+            }
+            differential(&frag(code, 3), inputs, 50);
+        }
+
+        // Grouped and constant stores, and AR-to-AR moves (duplicate
+        // slots keep program order).
+        for (n, slots, srcs) in [
+            (2, [2, 3, 0], [0, 1, 0]),
+            (2, [2, 2, 0], [0, 1, 0]),
+            (3, [2, 3, 0], [0, 1, 1]),
+            (3, [3, 2, 3], [1, 0, 0]),
+        ] {
+            let tree = frag(
+                vec![
+                    MachInst::ReadAr { d: 0, slot: 0 },
+                    MachInst::ReadAr { d: 1, slot: 1 },
+                    MachInst::WriteArN { n, slots, srcs },
+                    MachInst::End { exit: 0 },
+                ],
+                1,
+            );
+            differential(&tree, &ints[..EDGES.len()], u64::MAX);
+        }
+        for word in [0, 1, u64::from(u32::MAX), 0x1234_5678_9ABC_DEF0, w(-1), d(f64::NAN)] {
+            let tree = frag(
+                vec![
+                    MachInst::ConstWrAr { d: 0, w: word, slot: 0 },
+                    MachInst::MovAr { d: 1, src: 0, dst: 1 },
+                    MachInst::MovAr { d: 2, src: 3, dst: 2 },
+                    MachInst::End { exit: 0 },
+                ],
+                1,
+            );
+            differential(&tree, &[vec![0, 0, 0, 7]], u64::MAX);
+        }
+
+        // A real counting loop through the LIR pipeline, raw and fused,
+        // to its guard exit and to fuel exhaustion at the loop edge.
         let mut b = LirBuffer::new(FilterOptions::default());
         let i = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let limit = b.emit(Lir::Import { slot: 1, ty: LirType::Int });
@@ -2750,133 +2836,9 @@ mod tests {
         b.emit(Lir::LoopBack(e_loop));
         let raw = assemble(b.trace());
         let fused = fuse(raw.clone());
-
         for fragments in [vec![raw], vec![fused]] {
             run_both(&fragments, &[w(0), w(100)], 0, u64::MAX);
-            // Fuel exhaustion exits at the loop edge.
             run_both(&fragments, &[w(0), w(1000)], 0, 50);
-        }
-    }
-
-    #[test]
-    fn fused_ar_and_imm_forms() {
-        for op in [AluOp::Add, AluOp::Sub, AluOp::Mul, AluOp::Xor, AluOp::Shl, AluOp::UShr] {
-            let tree = frag(
-                vec![
-                    MachInst::ReadAr { d: 1, slot: 1 },
-                    MachInst::AluImmI { op, d: 2, a: 1, imm: -3 },
-                    MachInst::AluArI { op, d: 3, slot: 0, b: 1 },
-                    MachInst::AluWrI { op, d: 4, a: 1, b: 1, slot: 2 },
-                    MachInst::AluImmWrI { op, d: 5, a: 1, imm: 40, slot: 3 },
-                    MachInst::AluArWrI { op, d: 6, slot_a: 0, b: 1, slot_d: 4 },
-                    MachInst::WriteAr3 { slot_a: 5, s_a: 2, slot_b: 6, s_b: 3, slot_c: 7, s_c: 6 },
-                    MachInst::End { exit: 0 },
-                ],
-                1,
-            );
-            for x in [0, 5, -17, i32::MAX, i32::MIN] {
-                run_both(&tree, &[w(x), w(x ^ 3), 0, 0, 0, 0, 0, 0], 0, u64::MAX);
-            }
-        }
-        for op in [ChkOp::Add, ChkOp::Sub, ChkOp::Mul, ChkOp::Shl, ChkOp::UShr] {
-            for imm in [-5i32, 0, 3, 29] {
-                let tree = frag(
-                    vec![
-                        MachInst::ReadAr { d: 1, slot: 0 },
-                        MachInst::ChkAluImmI { op, d: 2, a: 1, imm, exit: 0 },
-                        MachInst::ChkAluWrI { op, d: 3, a: 1, b: 1, exit: 0, slot: 1 },
-                        MachInst::ChkAluImmWrI { op, d: 4, a: 1, imm, exit: 0, slot: 2 },
-                        MachInst::WriteAr { slot: 3, s: 2 },
-                        MachInst::End { exit: 1 },
-                    ],
-                    2,
-                );
-                for x in [0, 1, -1, 1000, 0x3FFF_FFFF, -0x4000_0000, i32::MIN] {
-                    run_both(&tree, &[w(x), 0, 0, 0], 0, u64::MAX);
-                }
-            }
-        }
-        let tree = frag(
-            vec![
-                MachInst::ConstWrAr { d: 0, w: 0x1234_5678_9ABC_DEF0, slot: 0 },
-                MachInst::MovAr { d: 1, src: 0, dst: 1 },
-                MachInst::End { exit: 0 },
-            ],
-            1,
-        );
-        run_both(&tree, &[0, 0], 0, u64::MAX);
-    }
-
-    #[test]
-    fn fused_compare_forms() {
-        let ints: &[i32] = &[0, 1, -1, 9, i32::MAX, i32::MIN];
-        for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-            for want in [true, false] {
-                let tree = frag(
-                    vec![
-                        MachInst::ReadAr { d: 0, slot: 0 },
-                        MachInst::ReadAr { d: 1, slot: 1 },
-                        MachInst::CmpBranchI { op, want, a: 0, b: 1, exit: 0 },
-                        MachInst::CmpBranchImmI { op, want, a: 0, imm: 4, exit: 0 },
-                        MachInst::CmpWrBranchI { op, want, d: 2, a: 0, b: 1, slot: 2, exit: 0 },
-                        MachInst::CmpImmWrBranchI { op, want, d: 3, a: 0, imm: -2, slot: 3, exit: 0 },
-                        MachInst::End { exit: 1 },
-                    ],
-                    2,
-                );
-                for &x in ints {
-                    for &y in ints {
-                        run_both(&tree, &[w(x), w(y), 0, 0], 0, u64::MAX);
-                    }
-                }
-            }
-            let tree = frag(
-                vec![
-                    MachInst::ReadAr { d: 0, slot: 0 },
-                    MachInst::ReadAr { d: 1, slot: 1 },
-                    MachInst::CmpImmI { op, d: 2, a: 0, imm: 3 },
-                    MachInst::CmpWrI { op, d: 3, a: 0, b: 1, slot: 2 },
-                    MachInst::CmpImmWrI { op, d: 4, a: 0, imm: -1, slot: 3 },
-                    MachInst::End { exit: 0 },
-                ],
-                1,
-            );
-            for &x in ints {
-                run_both(&tree, &[w(x), w(1), 0, 0], 0, u64::MAX);
-            }
-        }
-        // Double compare-write and compare-branch, NaN included.
-        let doubles: &[f64] = &[0.0, -0.0, 1.5, -2.0, f64::NAN, f64::INFINITY];
-        for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-            for want in [true, false] {
-                let tree = frag(
-                    vec![
-                        MachInst::ReadAr { d: 0, slot: 0 },
-                        MachInst::ReadAr { d: 1, slot: 1 },
-                        MachInst::CmpBranchD { op, want, a: 0, b: 1, exit: 0 },
-                        MachInst::CmpWrBranchD { op, want, d: 2, a: 0, b: 1, slot: 2, exit: 0 },
-                        MachInst::End { exit: 1 },
-                    ],
-                    2,
-                );
-                for &x in doubles {
-                    for &y in doubles {
-                        run_both(&tree, &[d(x), d(y), 0], 0, u64::MAX);
-                    }
-                }
-            }
-            let tree = frag(
-                vec![
-                    MachInst::ReadAr { d: 0, slot: 0 },
-                    MachInst::ReadAr { d: 1, slot: 1 },
-                    MachInst::CmpWrD { op, d: 2, a: 0, b: 1, slot: 2 },
-                    MachInst::End { exit: 0 },
-                ],
-                1,
-            );
-            for &x in doubles {
-                run_both(&tree, &[d(x), d(1.5), 0], 0, u64::MAX);
-            }
         }
     }
 

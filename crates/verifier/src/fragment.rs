@@ -12,7 +12,7 @@
 //! * every exit id (including the fused forms' second, loop-edge exit) has
 //!   an entry in the exit-target table;
 //! * the fragment ends with exactly one terminator (`LoopBack`, `End`, or
-//!   a fused loop-edge compare-branch), and none appears earlier;
+//!   a fused form with a folded loop edge), and none appears earlier;
 //! * the decoded `stitch` table mirrors `exit_targets` entry for entry.
 
 use tm_nanojit::machinst::{ExitTarget, Fragment, MachInst, EXIT_UNSTITCHED, NREGS};
@@ -231,6 +231,21 @@ pub fn verify_loaded_fragments(fragments: &[Fragment]) -> Result<(), (usize, Fra
 mod tests {
     use super::*;
     use tm_nanojit::machinst::MachInst::*;
+    use tm_nanojit::machinst::{Guard, MachInst, Opd};
+
+    /// The fused loop tail: checked `r0 += 1`, stored to slot 0, then the
+    /// loop edge.
+    fn loop_tail(exit: u16, loop_exit: u16) -> MachInst {
+        Chk {
+            op: tm_lir::ChkOp::Add,
+            d: 0,
+            a: 0,
+            b: Opd::Imm(1),
+            exit,
+            wr: Some(0),
+            loop_exit: Some(loop_exit),
+        }
+    }
 
     fn ok_frag() -> Fragment {
         Fragment::new(
@@ -257,13 +272,15 @@ mod tests {
             vec![
                 ReadAr { d: 0, slot: 0 },
                 ReadAr { d: 1, slot: 1 },
-                CmpBranchLoopI {
+                Cmp {
                     op: tm_lir::CmpOp::Lt,
-                    want: true,
+                    double: false,
+                    d: None,
                     a: 0,
-                    b: 1,
-                    exit: 0,
-                    loop_exit: 1,
+                    b: Opd::Reg(1),
+                    wr: None,
+                    guard: Some(Guard { want: true, exit: 0 }),
+                    loop_exit: Some(1),
                 },
             ],
             0,
@@ -274,32 +291,25 @@ mod tests {
 
     #[test]
     fn accepts_extended_superinstruction_forms() {
-        // One of each new PR-5 fused shape, ending in the fused loop
-        // tail; all registers, slots, and exits in range.
+        // One of each fused form, ending in the fused loop tail; all
+        // registers, slots, and exits in range.
         let frag = Fragment::new(
             vec![
                 MovAr { d: 0, src: 0, dst: 1 },
                 ConstWrAr { d: 1, w: 7, slot: 2 },
-                CmpImmWrBranchI {
+                Cmp {
                     op: tm_lir::CmpOp::Lt,
-                    want: true,
-                    d: 2,
+                    double: false,
+                    d: Some(2),
                     a: 0,
-                    imm: 500,
-                    slot: 3,
-                    exit: 0,
+                    b: Opd::Imm(500),
+                    wr: Some(3),
+                    guard: Some(Guard { want: true, exit: 0 }),
+                    loop_exit: None,
                 },
-                AluArWrI { op: tm_lir::AluOp::Xor, d: 2, slot_a: 1, b: 1, slot_d: 4 },
-                WriteAr3 { slot_a: 5, s_a: 0, slot_b: 6, s_b: 1, slot_c: 7, s_c: 2 },
-                ChkAluImmWrLoopI {
-                    op: tm_lir::ChkOp::Add,
-                    d: 2,
-                    a: 0,
-                    imm: 1,
-                    slot: 0,
-                    exit: 1,
-                    loop_exit: 2,
-                },
+                Alu { op: tm_lir::AluOp::Xor, d: 2, a: Opd::Ar(1), b: Opd::Reg(1), wr: Some(4) },
+                WriteArN { n: 3, slots: [5, 6, 7], srcs: [0, 1, 2] },
+                loop_tail(1, 2),
             ],
             0,
             3,
@@ -312,15 +322,7 @@ mod tests {
         // The fused loop tail's *second* exit must be range-checked, and
         // it is a terminator: nothing may follow it.
         let frag = Fragment::new(
-            vec![ChkAluImmWrLoopI {
-                op: tm_lir::ChkOp::Add,
-                d: 0,
-                a: 0,
-                imm: 1,
-                slot: 0,
-                exit: 0,
-                loop_exit: 9,
-            }],
+            vec![loop_tail(0, 9)],
             0,
             2,
         );
@@ -330,18 +332,7 @@ mod tests {
         ));
 
         let frag = Fragment::new(
-            vec![
-                ChkAluImmWrLoopI {
-                    op: tm_lir::ChkOp::Add,
-                    d: 0,
-                    a: 0,
-                    imm: 1,
-                    slot: 0,
-                    exit: 0,
-                    loop_exit: 1,
-                },
-                End { exit: 0 },
-            ],
+            vec![loop_tail(0, 1), End { exit: 0 }],
             0,
             2,
         );
@@ -355,7 +346,7 @@ mod tests {
     fn rejects_out_of_range_register_in_grouped_store() {
         let frag = Fragment::new(
             vec![
-                WriteAr2 { slot_a: 0, s_a: 0, slot_b: 1, s_b: NREGS as u8 },
+                WriteArN { n: 2, slots: [0, 1, 0], srcs: [0, NREGS as u8, 0] },
                 End { exit: 0 },
             ],
             0,
@@ -401,13 +392,15 @@ mod tests {
     fn rejects_loop_edge_exit_without_target_entry() {
         // The fused triple's *second* exit must be range-checked too.
         let frag = Fragment::new(
-            vec![CmpBranchLoopI {
+            vec![Cmp {
                 op: tm_lir::CmpOp::Lt,
-                want: true,
+                double: false,
+                d: None,
                 a: 0,
-                b: 1,
-                exit: 0,
-                loop_exit: 5,
+                b: Opd::Reg(1),
+                wr: None,
+                guard: Some(Guard { want: true, exit: 0 }),
+                loop_exit: Some(5),
             }],
             0,
             2,

@@ -92,7 +92,14 @@ fn concurrent_shared_realms_match_and_reuse_code() {
         .map(|(r, _, _)| r)
         .collect::<Vec<_>>();
     let mt = MultiTenantVm::new(2);
-    let reports = mt.run(vec![RealmJob::repeat(HOT_BRANCHY, 3); 4]);
+    let mut reports = mt.run(vec![RealmJob::repeat(HOT_BRANCHY, 3); 4]);
+    let s = mt.shared_stats();
+    assert!(s.publishes >= 1, "someone published: {s:?}");
+    // All four realms may probe before any publish is visible (a
+    // background compile can publish as late as the run's blocking
+    // drain), so reuse is asserted on realms that start after the first
+    // batch's publishes are visible.
+    reports.extend(mt.run(vec![RealmJob::repeat(HOT_BRANCHY, 3); 2]));
     for (i, rep) in reports.iter().enumerate() {
         for r in &rep.results {
             assert_eq!(*r, expected[0], "realm {i} diverged");
@@ -104,8 +111,7 @@ fn concurrent_shared_realms_match_and_reuse_code() {
         assert!(covered, "realm {i} never got a compiled tree");
     }
     let s = mt.shared_stats();
-    assert!(s.publishes >= 1, "someone published: {s:?}");
-    assert!(s.hits >= 1, "4 realms x 3 evals of one program must share: {s:?}");
+    assert!(s.hits >= 1, "realms started after a publish must share: {s:?}");
     let installed: u64 = reports
         .iter()
         .flat_map(|r| &r.stats)

@@ -242,6 +242,15 @@ fn version_skew_and_bad_magic_are_rejected() {
         Some(tracemonkey::CacheError::BadVersion { .. })
     ));
 
+    // A version-1 file (the enumerated fused opcodes) is a cold start.
+    let mut v1 = bytes.clone();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&cache.0, &v1).unwrap();
+    let mut vm = vm_with_cache(&cache.0);
+    vm.eval(src).unwrap();
+    assert_eq!(vm.last_cache_error(), Some(&tracemonkey::CacheError::BadVersion { found: 1 }));
+    assert_eq!(vm.profile().unwrap().cache_loaded_trees, 0, "version 1 loads nothing");
+
     // Not a cache file at all.
     std::fs::write(&cache.0, b"#!/bin/sh\necho hello\n").unwrap();
     let mut vm = vm_with_cache(&cache.0);

@@ -3,7 +3,7 @@
 //! specialized machine operations (and not generic ones) — the core claim
 //! of §3.1's "Type specialization" and "Representation specialization".
 
-use tracemonkey::nanojit::MachInst;
+use tracemonkey::nanojit::{MachInst, Opd};
 use tracemonkey::runtime::Helper;
 use tracemonkey::{Engine, Vm};
 use tm_lir::{AluOp, ChkOp, CmpOp};
@@ -31,10 +31,7 @@ fn has_checked(code: &[MachInst], op: ChkOp) -> bool {
         MachInst::MulIChk { .. } => op == ChkOp::Mul,
         MachInst::ShlIChk { .. } => op == ChkOp::Shl,
         MachInst::UShrIChk { .. } => op == ChkOp::UShr,
-        MachInst::ChkAluImmI { op: o, .. }
-        | MachInst::ChkAluWrI { op: o, .. }
-        | MachInst::ChkAluImmWrI { op: o, .. }
-        | MachInst::ChkAluImmWrLoopI { op: o, .. } => o == op,
+        MachInst::Chk { op: o, .. } => o == op,
         _ => false,
     })
 }
@@ -48,14 +45,7 @@ fn has_cmp_i(code: &[MachInst], op: CmpOp) -> bool {
         MachInst::LeI { .. } => op == CmpOp::Le,
         MachInst::GtI { .. } => op == CmpOp::Gt,
         MachInst::GeI { .. } => op == CmpOp::Ge,
-        MachInst::CmpImmI { op: o, .. }
-        | MachInst::CmpWrI { op: o, .. }
-        | MachInst::CmpImmWrI { op: o, .. }
-        | MachInst::CmpBranchI { op: o, .. }
-        | MachInst::CmpBranchImmI { op: o, .. }
-        | MachInst::CmpWrBranchI { op: o, .. }
-        | MachInst::CmpImmWrBranchI { op: o, .. }
-        | MachInst::CmpBranchLoopI { op: o, .. } => o == op,
+        MachInst::Cmp { op: o, double: false, .. } => o == op,
         _ => false,
     })
 }
@@ -68,10 +58,7 @@ fn has_cmp_d(code: &[MachInst], op: CmpOp) -> bool {
         MachInst::LeD { .. } => op == CmpOp::Le,
         MachInst::GtD { .. } => op == CmpOp::Gt,
         MachInst::GeD { .. } => op == CmpOp::Ge,
-        MachInst::CmpWrD { op: o, .. }
-        | MachInst::CmpBranchD { op: o, .. }
-        | MachInst::CmpWrBranchD { op: o, .. }
-        | MachInst::CmpBranchLoopD { op: o, .. } => o == op,
+        MachInst::Cmp { op: o, double: true, .. } => o == op,
         _ => false,
     })
 }
@@ -81,10 +68,11 @@ fn has_alu(code: &[MachInst], op: AluOp) -> bool {
     has(code, |i| match *i {
         MachInst::XorI { .. } => op == AluOp::Xor,
         MachInst::AndI { .. } => op == AluOp::And,
-        MachInst::AluImmI { op: o, .. }
-        | MachInst::AluArI { op: o, .. }
-        | MachInst::AluWrI { op: o, .. }
-        | MachInst::AluImmWrI { op: o, .. } => o == op,
+        // Every fused ALU form except the AR-to-AR one (`ar[wr] =
+        // op(ar[a], b)`), which this matcher has never counted.
+        MachInst::Alu { op: o, a, wr, .. } => {
+            o == op && !(matches!(a, Opd::Ar(_)) && wr.is_some())
+        }
         _ => false,
     })
 }
@@ -186,9 +174,8 @@ fn loop_back_is_the_last_instruction_of_a_stable_trunk() {
             code.last(),
             Some(
                 MachInst::LoopBack { .. }
-                    | MachInst::CmpBranchLoopI { .. }
-                    | MachInst::CmpBranchLoopD { .. }
-                    | MachInst::ChkAluImmWrLoopI { .. }
+                    | MachInst::Cmp { loop_exit: Some(_), .. }
+                    | MachInst::Chk { loop_exit: Some(_), .. }
             )
         ),
         "a type-stable loop trace ends by jumping to its anchor"
